@@ -48,13 +48,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.engine.ops import MultiplyJob, RLWEMultiplyPlainJob  # noqa: E402
 from repro.fhe.rlwe import RLWE, RLWEParams  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ComputeService,
-    MultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceConfig,
-)
+from repro.serve import ComputeService, ServiceConfig  # noqa: E402
 from repro.serve.metrics import percentile  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_service.json"
@@ -131,7 +127,7 @@ def multiply_case(
     truth = [[a * b] for a, b in pairs]
 
     def make_ops():
-        return [MultiplyOp.of([pair]) for pair in pairs]
+        return [MultiplyJob([pair]) for pair in pairs]
 
     naive = _measure_mode(make_ops, coalesce=False, repeats=repeats)
     coalesced = _measure_mode(make_ops, coalesce=True, repeats=repeats)
@@ -187,7 +183,7 @@ def rlwe_case(requests: int, n: int, repeats: int, seed: int) -> dict:
 
     def make_ops():
         return [
-            RLWEMultiplyPlainOp.of(params, [ct], [plain])
+            RLWEMultiplyPlainJob(params, [ct], [plain])
             for ct, plain in zip(cts, plains)
         ]
 

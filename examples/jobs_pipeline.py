@@ -31,7 +31,7 @@ def make_pairs(count):
 # -- submit: the caller stays free while the queue works ----------------
 engine = Engine()
 with JobScheduler(engine) as jobs:
-    handle = jobs.submit(MultiplyJob.batched(make_pairs(8)))
+    handle = jobs.submit(MultiplyJob(make_pairs(8)))
     print(f"submitted {handle!r}; caller is free immediately")
     overlap_work = sum(range(1_000_00))  # front-end keeps serving
     products = handle.result()

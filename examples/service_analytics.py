@@ -22,10 +22,10 @@ Run:  python examples/service_analytics.py
 
 import random
 
+from repro.engine.ops import RLWEMultiplyPlainJob
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.serve import (
     ComputeService,
-    RLWEMultiplyPlainOp,
     ServiceClient,
     ServiceConfig,
     render_stats,
@@ -78,7 +78,7 @@ def main() -> None:
         with service.scheduler.paused():
             for clinic, client in clients.items():
                 for ct in encrypted[clinic]:
-                    op = RLWEMultiplyPlainOp.of(params, [ct], [mask])
+                    op = RLWEMultiplyPlainJob(params, [ct], [mask])
                     futures.append((clinic, ct, client.submit(op)))
         responses = [
             (clinic, ct, future.result())

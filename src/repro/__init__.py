@@ -31,15 +31,11 @@ Quickstart::
     product, report = hw.multiply_with_report(a, b)
     print(report.render())                 # ≈122 us
 
-The historical top-level helpers (``ssa_multiply``, ``plan_for_size``,
-``paper_64k_plan``) still work but are deprecation shims over a
-process-default engine; classes (:class:`SSAMultiplier`,
-:class:`HEAccelerator`, :class:`DGHV`, ...) remain directly importable.
+Classes (:class:`SSAMultiplier`, :class:`HEAccelerator`,
+:class:`DGHV`, ...) remain directly importable.
 """
 
-import warnings as _warnings
-
-from repro.engine import Engine, ExecutionConfig, default_engine
+from repro.engine import Engine, ExecutionConfig
 from repro.field.solinas import P
 from repro.ssa import SSAMultiplier, PAPER_PARAMETERS
 from repro.hw import (
@@ -53,62 +49,12 @@ from repro.fhe import DGHV, SMALL_DGHV, TOY
 
 __version__ = "1.0.0"
 
-
-def _warn_legacy(old: str, new: str) -> None:
-    _warnings.warn(
-        f"repro.{old} is deprecated; use {new} instead "
-        "(see the README migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def ssa_multiply(a, b, params=None):
-    """Deprecated shim: one-shot SSA product via the default engine.
-
-    Prefer ``Engine().multiply(a, b)`` (or
-    ``default_engine().multiply`` for the shared-cache behaviour this
-    shim delegates to).  Bit-identical to the historical
-    :func:`repro.ssa.ssa_multiply`.
-    """
-    _warn_legacy("ssa_multiply", "Engine().multiply(a, b)")
-    engine = default_engine()
-    if params is None:
-        return engine.multiply(a, b)
-    return engine.multiplier(params=params).multiply(a, b)
-
-
-def plan_for_size(n, radices=None, omega=None, kernel=None):
-    """Deprecated shim: build a plan in the default engine's cache.
-
-    Prefer ``Engine().plan(n)`` / ``engine.ring(n)``.  The default
-    engine shares the process-wide plan cache, so the returned plans
-    are the same objects :func:`repro.ntt.plan.plan_for_size` yields.
-    """
-    _warn_legacy("plan_for_size", "Engine().plan(n, ...)")
-    return default_engine().plan(n, radices, omega, kernel=kernel)
-
-
-def paper_64k_plan():
-    """Deprecated shim: the paper's 64K plan via the default engine.
-
-    Prefer ``Engine().plan(65536, (64, 64, 16))`` or
-    :func:`repro.ntt.paper_64k_plan`.
-    """
-    _warn_legacy("paper_64k_plan", "Engine().plan(65536, (64, 64, 16))")
-    return default_engine().plan(65536, (64, 64, 16))
-
-
 __all__ = [
     "P",
     "Engine",
     "ExecutionConfig",
-    "default_engine",
     "SSAMultiplier",
-    "ssa_multiply",
     "PAPER_PARAMETERS",
-    "paper_64k_plan",
-    "plan_for_size",
     "HEAccelerator",
     "AcceleratorTiming",
     "PAPER_TIMING",

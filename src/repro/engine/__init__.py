@@ -41,7 +41,7 @@ from repro.engine.config import (
     CACHE_SHARED,
     ExecutionConfig,
 )
-from repro.engine.core import Engine, EngineMultiplier, default_engine
+from repro.engine.core import Engine, EngineMultiplier
 from repro.engine.jobs import JobHandle, JobScheduler, as_completed
 from repro.engine.resilience import (
     NO_RETRY,
@@ -73,7 +73,6 @@ __all__ = [
     "register_backend",
     "available_backends",
     "create_backend",
-    "default_engine",
     "SOFTWARE",
     "SOFTWARE_MP",
     "HW_MODEL",

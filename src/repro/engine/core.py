@@ -422,7 +422,7 @@ class EngineMultiplier:
 
     Fulfils the pluggable-multiplier contract of :class:`repro.fhe.DGHV`
     (a ``(int, int) -> int`` callable) and additionally exposes
-    ``multiply_many`` so :func:`repro.fhe.ops.he_mult_many` batches
+    ``multiply_many`` so :meth:`repro.fhe.DGHV.multiply_many` batches
     whole gate layers through one SSA pass.
     """
 
@@ -444,24 +444,4 @@ class EngineMultiplier:
         )
 
 
-_default_engine: Optional[Engine] = None
-
-
-def default_engine() -> Engine:
-    """The lazily-built process-default engine.
-
-    Backs the deprecated top-level convenience functions
-    (:func:`repro.ssa_multiply`, :func:`repro.plan_for_size`, ...).  It
-    shares the process-wide plan cache, so plans it builds are the same
-    objects legacy module-level calls see.  Constructed on first use —
-    which is when its config reads ``REPRO_NTT_KERNEL``.
-    """
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = Engine(
-            config=ExecutionConfig(cache=CACHE_SHARED)
-        )
-    return _default_engine
-
-
-__all__ = ["Engine", "EngineMultiplier", "default_engine"]
+__all__ = ["Engine", "EngineMultiplier"]

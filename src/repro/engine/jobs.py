@@ -13,11 +13,13 @@ This module closes the gap with a job model:
 ...     for h in as_completed(jobs.submit_map("multiply", pairs)):
 ...         consume(h.result())
 
-Every workload of the stack flows through the same queue: SSA products
+Every workload of the stack flows through the same queue as one of the
+six :mod:`repro.engine.ops` classes: SSA products
 (:class:`MultiplyJob`), ring forward/inverse/convolution batches
 (:class:`RingTransformJob`, :class:`ConvolveJob`), DGHV homomorphic
-AND layers (:class:`DGHVMultJob`) and RLWE plaintext products
-(:class:`RLWEMultiplyPlainJob`).  Jobs execute **in submission order**
+AND layers (:class:`DGHVMultJob`), RLWE plaintext products
+(:class:`RLWEMultiplyPlainJob`) and RLWE ciphertext products
+(:class:`RLWEMultiplyJob`).  Jobs execute **in submission order**
 on one dispatcher thread that owns the engine — the engine's caches
 are never raced — while intra-job parallelism comes from the engine's
 compute backend (``software-mp`` shards each job's batch axis across
@@ -38,22 +40,29 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import as_completed as _futures_as_completed
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
 import numpy as np
 
 from repro.engine.config import ExecutionConfig
+from repro.engine.ops import (
+    OPS,
+    ConvolveJob,
+    DGHVMultJob,
+    MultiplyJob,
+    Op,
+    RingTransformJob,
+    RLWEMultiplyJob,
+    RLWEMultiplyPlainJob,
+)
 from repro.engine.resilience import (
     NO_RETRY,
     Deadline,
@@ -64,164 +73,9 @@ from repro.engine.resilience import (
     deadline_scope,
 )
 
-# -- job types ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiplyJob:
-    """A batch of exact SSA products ``[a·b for (a, b) in pairs]``."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    kind = "multiply"
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "MultiplyJob":
-        """A single-product job (``result()`` is a one-element list)."""
-        return cls(pairs=((int(a), int(b)),))
-
-    @classmethod
-    def batched(
-        cls, pairs: Iterable[Tuple[int, int]]
-    ) -> "MultiplyJob":
-        return cls(pairs=tuple((int(a), int(b)) for a, b in pairs))
-
-    def run(self, engine) -> List[int]:
-        left = [a for a, _ in self.pairs]
-        right = [b for _, b in self.pairs]
-        return engine.multiply(left, right)
-
-
-@dataclass(frozen=True, eq=False)
-class RingTransformJob:
-    """A ``(batch, n)`` (inverse) NTT batch, optionally ψ-twisted."""
-
-    n: int
-    values: np.ndarray
-    inverse: bool = False
-    negacyclic: bool = False
-    radices: Optional[Tuple[int, ...]] = None
-
-    kind = "ring-transform"
-
-    def run(self, engine) -> np.ndarray:
-        ring = engine.ring(self.n, self.radices)
-        if self.negacyclic:
-            method = (
-                ring.negacyclic_inverse
-                if self.inverse
-                else ring.negacyclic_forward
-            )
-        else:
-            method = ring.inverse if self.inverse else ring.forward
-        return method(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvolveJob:
-    """A cyclic or negacyclic convolution batch (broadcast included)."""
-
-    n: int
-    a: np.ndarray
-    b: np.ndarray
-    negacyclic: bool = False
-    radices: Optional[Tuple[int, ...]] = None
-
-    kind = "convolve"
-
-    def run(self, engine) -> np.ndarray:
-        return engine.ring(self.n, self.radices).convolve(
-            self.a, self.b, negacyclic=self.negacyclic
-        )
-
-
-class _MultiplierStrategy:
-    """The minimal ``scheme`` shape :func:`repro.fhe.ops.he_mult_many`
-    needs: an object exposing the engine's multiplier strategy."""
-
-    def __init__(self, engine):
-        from repro.engine.core import EngineMultiplier
-
-        self.multiplier = EngineMultiplier(engine)
-
-
-@dataclass(frozen=True, eq=False)
-class DGHVMultJob:
-    """A layer of DGHV homomorphic AND gates (ciphertext products).
-
-    Semantics and noise bookkeeping of
-    :func:`repro.fhe.ops.he_mult_many`: the γ×γ-bit products run as one
-    batched SSA pass through the engine (and therefore through its
-    backend — sharded on ``software-mp``, cycle-counted on
-    ``hw-model``).
-    """
-
-    pairs: Tuple[Tuple[Any, Any], ...]  # (Ciphertext, Ciphertext) pairs
-    x0: Optional[int] = None
-
-    kind = "dghv-mult"
-
-    def run(self, engine) -> List[Any]:
-        from repro.fhe.ops import _he_mult_many
-
-        return _he_mult_many(
-            _MultiplierStrategy(engine), self.pairs, x0=self.x0
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RLWEMultiplyPlainJob:
-    """Batched RLWE plaintext-by-ciphertext products.
-
-    Bit-identical to
-    :meth:`repro.fhe.rlwe.RLWE.multiply_plain_many` on a scheme bound
-    to the engine's plan (``3·B`` negacyclic transforms total).
-    """
-
-    params: Any  # repro.fhe.rlwe.RLWEParams
-    ciphertexts: Tuple[Any, ...]
-    plains: Tuple[Tuple[int, ...], ...]
-
-    kind = "rlwe-multiply-plain"
-
-    def run(self, engine) -> List[Any]:
-        scheme = engine.fhe(self.params)
-        return scheme.multiply_plain_many(
-            list(self.ciphertexts), [list(p) for p in self.plains]
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RLWEMultiplyJob:
-    """Batched RLWE ciphertext-by-ciphertext products.
-
-    One tensor pass + one relinearization pass over the whole batch,
-    bit-identical to :meth:`repro.fhe.rlwe.RLWE.multiply_many` on a
-    scheme bound to the engine (every ring product rides the engine's
-    batch axis — sharded on ``software-mp``, cycle-counted on
-    ``hw-model``).  ``relin`` is the evaluator-side
-    :class:`repro.fhe.rlwe.RelinKeys`; the secret never enters the job.
-    """
-
-    params: Any  # repro.fhe.rlwe.RLWEParams
-    relin: Any  # repro.fhe.rlwe.RelinKeys
-    pairs: Tuple[Tuple[Any, Any], ...]  # (RLWECiphertext, RLWECiphertext)
-
-    kind = "rlwe-multiply"
-
-    def run(self, engine) -> List[Any]:
-        scheme = engine.fhe(self.params)
-        return scheme.multiply_many(self.relin, list(self.pairs))
-
-
-Job = Union[
-    MultiplyJob,
-    RingTransformJob,
-    ConvolveJob,
-    DGHVMultJob,
-    RLWEMultiplyPlainJob,
-    RLWEMultiplyJob,
-]
+#: Anything with a ``run(engine)`` method is a job; the stack's own jobs
+#: are the :mod:`repro.engine.ops` classes.
+Job = Op
 
 
 # -- handles ---------------------------------------------------------------
@@ -261,7 +115,7 @@ class JobHandle:
         state = "done" if self.done() else "pending"
         return (
             f"JobHandle(id={self.job_id}, "
-            f"kind={getattr(self.job, 'kind', '?')!r}, {state})"
+            f"op={getattr(self.job, 'name', '?')!r}, {state})"
         )
 
     def done(self) -> bool:
@@ -294,30 +148,6 @@ def as_completed(
 
 
 # -- the scheduler ---------------------------------------------------------
-
-#: ``map(op, ...)`` kinds → chunk-of-items → job factories.  ``items``
-#: is the chunk (a list); extra ``map`` kwargs are forwarded.
-_MAP_FACTORIES: dict = {
-    "multiply": lambda items, **kw: MultiplyJob.batched(items),
-    "dghv-mult": lambda items, **kw: DGHVMultJob(
-        pairs=tuple(items), x0=kw.get("x0")
-    ),
-    "ring-forward": lambda items, **kw: RingTransformJob(
-        n=kw["n"],
-        values=np.vstack(items),
-        inverse=False,
-        negacyclic=kw.get("negacyclic", False),
-        radices=kw.get("radices"),
-    ),
-    "ring-inverse": lambda items, **kw: RingTransformJob(
-        n=kw["n"],
-        values=np.vstack(items),
-        inverse=True,
-        negacyclic=kw.get("negacyclic", False),
-        radices=kw.get("radices"),
-    ),
-}
-
 
 class JobScheduler:
     """Futures-style submission queue over one engine.
@@ -569,7 +399,7 @@ class JobScheduler:
                 if deadline is not None and deadline.expired:
                     raise JobTimeoutError(
                         f"job {handle.job_id} "
-                        f"({getattr(job, 'kind', '?')}) expired before "
+                        f"({getattr(job, 'name', '?')}) expired before "
                         f"it ran — queue wait and/or earlier attempts "
                         f"consumed its timeout"
                     )
@@ -637,25 +467,23 @@ class JobScheduler:
     ) -> List[JobHandle]:
         """Split ``items`` into chunk jobs; return one handle per chunk.
 
-        ``op`` is a registered kind (``"multiply"``, ``"dghv-mult"``,
-        ``"ring-forward"``, ``"ring-inverse"`` — extra kwargs such as
-        ``n=`` or ``x0=`` are forwarded to the job) or any callable
-        taking a chunk (list of items) and returning a job.  Chunks
-        preserve item order; ``chunk=None`` uses
-        :meth:`default_chunk`.
+        ``op`` is an op name of :data:`repro.engine.ops.OPS` — each
+        chunk becomes one op through that class's ``batch``
+        constructor, and extra kwargs such as ``n=``, ``inverse=`` or
+        ``x0=`` are forwarded to it — or any callable taking a chunk
+        (list of items) and returning a job.  Chunks preserve item
+        order; ``chunk=None`` uses :meth:`default_chunk`.
         """
         if isinstance(op, str):
             try:
-                factory = _MAP_FACTORIES[op]
+                factory = OPS[op].batch
             except KeyError:
                 raise ValueError(
                     f"unknown map op {op!r}; expected one of "
-                    f"{sorted(_MAP_FACTORIES)} or a callable"
+                    f"{sorted(OPS)} or a callable"
                 ) from None
         else:
-            # Extra kwargs are forwarded so a callable op is not a
-            # silent kwargs sink (a callable that takes none raises).
-            factory = lambda chunk_items, **kw: op(chunk_items, **kw)  # noqa: E731
+            factory = op
         items = list(items)
         if chunk is None:
             chunk = self.default_chunk(len(items))

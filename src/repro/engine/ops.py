@@ -1,19 +1,23 @@
-"""Service-op vocabulary: decode, coalesce, merge, split, encode.
+"""The op vocabulary: one class per operation of the stack.
 
-Every RPC the :mod:`repro.serve` front end accepts is one
-:class:`ServiceOp` subclass.  An op knows five things:
+Every unit of work the jobs queue runs and the :mod:`repro.serve` front
+end accepts is one :class:`Op` subclass.  An op knows:
 
-- how to **decode** itself from a JSON ``payload`` (wire requests) or
-  build itself from in-process objects (the ``.of(...)`` constructors
-  used by :class:`~repro.serve.client.ServiceClient`);
+- how to **build** itself from in-process objects (its constructor
+  validates, raising a typed :class:`ProtocolError`) and how to
+  **decode** itself from a JSON wire ``payload`` (``from_payload``,
+  reached through :func:`decode_op`);
+- its :attr:`~Op.count` of items and whether it is
+  :attr:`~Op.coalescible`;
 - its **coalesce key** — two queued requests whose keys match run the
-  same engine code path on the same plan shape, so the scheduler may
+  same engine code path on the same plan shape, so the service may
   merge them into one batched ``*_many`` pass;
-- how to **merge** a list of same-key ops into one
-  :mod:`repro.engine.jobs` job;
-- how to **split** the batched result back into per-request results
-  (order-preserving, bit-identical to running each request alone);
-- how to **encode** a per-request result for the JSON wire.
+- how to **merge** a list of same-key ops into one batched op of the
+  same class, and how to **split** the batched result back into
+  per-op results (order-preserving, bit-identical to running each op
+  alone);
+- how to **encode** a result for the JSON wire;
+- how to **run** on an :class:`~repro.engine.Engine`.
 
 The merge→split round trip is the service's key performance move: under
 load, B compatible single-item requests become one ``B``-row engine
@@ -28,15 +32,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.engine.jobs import (
-    ConvolveJob,
-    DGHVMultJob,
-    Job,
-    MultiplyJob,
-    RingTransformJob,
-    RLWEMultiplyPlainJob,
-)
-from repro.serve.protocol import ProtocolError
+from repro.field.vector import to_field_array, to_field_matrix
+
+
+class ProtocolError(ValueError):
+    """A malformed frame or request (bad length, JSON, or fields)."""
 
 
 def _require(payload: dict, key: str):
@@ -62,60 +62,72 @@ def _int_rows(rows, what: str) -> List[List[int]]:
     return out
 
 
-class ServiceOp:
-    """Base class: one decoded, coalescible service request body."""
+def _field_rows(values) -> Tuple[np.ndarray, bool]:
+    """``values`` as canonical ``(batch, n)`` field rows, and whether it
+    was one flat row (a flat request is answered flat on the wire).
 
+    ``uint64`` arrays are taken as already canonical; anything else goes
+    through :func:`~repro.field.vector.to_field_matrix`.
+    """
+    flat = np.ndim(values) == 1
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        rows = values
+    else:
+        rows = to_field_matrix([values] if flat else values)
+    return (rows.reshape(1, -1) if rows.ndim == 1 else rows), flat
+
+
+def _encode_rows(result, flat: bool) -> Any:
+    rows = [[int(v) for v in row] for row in result]
+    return rows[0] if flat else rows
+
+
+class Op:
+    """Base class of the op vocabulary (see the module docstring).
+
+    Subclasses set :attr:`name` and :attr:`count` and define
+    ``coalesce_key()``, ``from_payload(payload)``, ``merge(ops)``,
+    ``encode_result(result)`` and ``run(engine)``.
+    """
+
+    #: Wire name; the key of :data:`OPS`.
     name: str = ""
-    #: Ops whose requests may be merged with other same-key requests.
+    #: Whether this op may be merged with other same-key ops.
     coalescible: bool = True
-
-    @property
-    def count(self) -> int:
-        """Number of items this single request carries (batch rows,
-        operand pairs, ...) — the unit admission control and fair
-        queueing charge for."""
-        raise NotImplementedError
-
-    def coalesce_key(self) -> Tuple:
-        """Requests with equal keys may share one batched engine pass."""
-        raise NotImplementedError
+    #: Items this op carries (batch rows, operand pairs, ...) — the unit
+    #: admission control and fair queueing charge for.
+    count: int = 0
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ServiceOp":
-        raise NotImplementedError
+    def batch(cls, items: list, **params) -> "Op":
+        """The op over one chunk of :meth:`JobScheduler.map
+        <repro.engine.jobs.JobScheduler.map>` items; ``params`` are the
+        map's keyword arguments."""
+        return cls(items, **params)
 
     @staticmethod
-    def merge(ops: Sequence["ServiceOp"]) -> Job:
-        raise NotImplementedError
-
-    @staticmethod
-    def split(ops: Sequence["ServiceOp"], result) -> List[Any]:
-        raise NotImplementedError
-
-    def encode_result(self, result) -> Any:
-        raise NotImplementedError
-
-
-def _split_by_counts(ops: Sequence[ServiceOp], result) -> List[Any]:
-    """Slice a batched result back into per-op chunks, in order."""
-    out = []
-    start = 0
-    for op in ops:
-        stop = start + op.count
-        out.append(result[start:stop])
-        start = stop
-    if start != len(result):
-        raise RuntimeError(
-            f"batched result has {len(result)} items for {start} requested"
-        )
-    return out
+    def split(ops: Sequence["Op"], result) -> List[Any]:
+        """Slice a merged op's result back into per-op chunks, in order."""
+        out = []
+        start = 0
+        for op in ops:
+            stop = start + op.count
+            out.append(result[start:stop])
+            start = stop
+        if start != len(result):
+            raise RuntimeError(
+                f"batched result has {len(result)} items for {start} "
+                "requested"
+            )
+        return out
 
 
 # -- multiply --------------------------------------------------------------
 
 
-class MultiplyOp(ServiceOp):
-    """Exact SSA products of non-negative big integers.
+class MultiplyJob(Op):
+    """Exact SSA products ``[a·b for (a, b) in pairs]`` of non-negative
+    big integers.
 
     Payload: ``{"pairs": [[a, b], ...]}`` (arbitrary-precision JSON
     ints).  Result: the list of products.  The coalesce key buckets the
@@ -126,25 +138,27 @@ class MultiplyOp(ServiceOp):
     name = "multiply"
 
     def __init__(self, pairs: Sequence[Tuple[int, int]]):
-        self.pairs = [(int(a), int(b)) for a, b in pairs]
+        self.pairs = tuple((int(a), int(b)) for a, b in pairs)
         if not self.pairs:
             raise ProtocolError("multiply needs at least one pair")
         if any(a < 0 or b < 0 for a, b in self.pairs):
             raise ProtocolError("multiply operands must be non-negative")
+        self.count = len(self.pairs)
         bits = max(
             max(a.bit_length(), b.bit_length(), 1) for a, b in self.pairs
         )
         self._bucket = 1 << (bits - 1).bit_length()
 
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
+    @classmethod
+    def of(cls, a: int, b: int) -> "MultiplyJob":
+        """A single-product op (``result()`` is a one-element list)."""
+        return cls(((a, b),))
 
     def coalesce_key(self) -> Tuple:
         return ("multiply", self._bucket)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "MultiplyOp":
+    def from_payload(cls, payload: dict) -> "MultiplyJob":
         pairs = _require(payload, "pairs")
         if not isinstance(pairs, list) or not all(
             isinstance(p, list)
@@ -153,36 +167,31 @@ class MultiplyOp(ServiceOp):
             for p in pairs
         ):
             raise ProtocolError("pairs must be a list of [a, b] integers")
-        return cls(pairs=[(a, b) for a, b in pairs])
+        return cls(pairs)
 
     @classmethod
-    def of(cls, pairs: Sequence[Tuple[int, int]]) -> "MultiplyOp":
-        return cls(pairs=pairs)
-
-    @staticmethod
-    def merge(ops: Sequence["MultiplyOp"]) -> Job:
-        merged: List[Tuple[int, int]] = []
-        for op in ops:
-            merged.extend(op.pairs)
-        return MultiplyJob(pairs=tuple(merged))
-
-    @staticmethod
-    def split(ops: Sequence["MultiplyOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
+    def merge(cls, ops: Sequence["MultiplyJob"]) -> "MultiplyJob":
+        return cls([pair for op in ops for pair in op.pairs])
 
     def encode_result(self, result) -> Any:
         return [int(v) for v in result]
+
+    def run(self, engine) -> List[int]:
+        left = [a for a, _ in self.pairs]
+        right = [b for _, b in self.pairs]
+        return engine.multiply(left, right)
 
 
 # -- ring transforms -------------------------------------------------------
 
 
-class RingTransformOp(ServiceOp):
+class RingTransformJob(Op):
     """A ``(batch, n)`` forward/inverse NTT, optionally negacyclic.
 
-    Payload: ``{"n": ..., "values": [[...], ...], "inverse": false,
-    "negacyclic": false, "radices": null}``; a flat ``values`` row is
-    accepted and answered flat.  Result: the transformed rows.
+    ``values`` is a ``(batch, n)`` matrix or one flat row; the result is
+    always ``(batch, n)``.  Payload: ``{"n": ..., "values": [[...],
+    ...], "inverse": false, "negacyclic": false, "radices": null}``; a
+    flat ``values`` row is answered flat.
     """
 
     name = "ring-transform"
@@ -190,26 +199,26 @@ class RingTransformOp(ServiceOp):
     def __init__(
         self,
         n: int,
-        values: np.ndarray,
+        values,
+        *,
         inverse: bool = False,
         negacyclic: bool = False,
-        radices: Optional[Tuple[int, ...]] = None,
-        flat: bool = False,
+        radices: Optional[Sequence[int]] = None,
     ):
-        if values.ndim != 2 or values.shape[1] != n:
+        self.values, self.flat = _field_rows(values)
+        if self.values.ndim != 2 or self.values.shape[1] != n:
             raise ProtocolError(
-                f"values must be (batch, {n}), got {values.shape}"
+                f"values must be (batch, {n}), got {self.values.shape}"
             )
         self.n = int(n)
-        self.values = values
         self.inverse = bool(inverse)
         self.negacyclic = bool(negacyclic)
         self.radices = tuple(radices) if radices is not None else None
-        self.flat = flat
+        self.count = int(self.values.shape[0])
 
-    @property
-    def count(self) -> int:
-        return int(self.values.shape[0])
+    @classmethod
+    def batch(cls, items: list, **params) -> "RingTransformJob":
+        return cls(values=items, **params)
 
     def coalesce_key(self) -> Tuple:
         return (
@@ -221,92 +230,66 @@ class RingTransformOp(ServiceOp):
         )
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RingTransformOp":
-        from repro.field.vector import to_field_matrix
-
+    def from_payload(cls, payload: dict) -> "RingTransformJob":
         n = _require(payload, "n")
         if not isinstance(n, int) or n < 2:
             raise ProtocolError("n must be an integer >= 2")
-        raw = _require(payload, "values")
-        flat = isinstance(raw, list) and raw and not isinstance(
-            raw[0], list
-        )
-        rows = _int_rows(raw, "values")
-        if any(len(row) != n for row in rows):
+        values = _require(payload, "values")
+        if any(len(row) != n for row in _int_rows(values, "values")):
             raise ProtocolError(f"every values row must have {n} entries")
         radices = payload.get("radices")
-        if radices is not None:
-            if not isinstance(radices, list) or not all(
-                isinstance(r, int) for r in radices
-            ):
-                raise ProtocolError("radices must be a list of integers")
-            radices = tuple(radices)
+        if radices is not None and (
+            not isinstance(radices, list)
+            or not all(isinstance(r, int) for r in radices)
+        ):
+            raise ProtocolError("radices must be a list of integers")
         return cls(
-            n=n,
-            values=to_field_matrix(rows),
+            n,
+            values,
             inverse=bool(payload.get("inverse", False)),
             negacyclic=bool(payload.get("negacyclic", False)),
             radices=radices,
-            flat=flat,
         )
 
     @classmethod
-    def of(
-        cls,
-        n: int,
-        values,
-        *,
-        inverse: bool = False,
-        negacyclic: bool = False,
-        radices: Optional[Sequence[int]] = None,
-    ) -> "RingTransformOp":
-        from repro.field.vector import to_field_matrix
-
-        values = np.asarray(values)
-        flat = values.ndim == 1
-        if flat:
-            values = values.reshape(1, -1)
-        if values.dtype != np.uint64:
-            values = to_field_matrix([list(map(int, row)) for row in values])
-        return cls(
-            n=n,
-            values=values,
-            inverse=inverse,
-            negacyclic=negacyclic,
-            radices=tuple(radices) if radices is not None else None,
-            flat=flat,
-        )
-
-    @staticmethod
-    def merge(ops: Sequence["RingTransformOp"]) -> Job:
+    def merge(cls, ops: Sequence["RingTransformJob"]) -> "RingTransformJob":
         first = ops[0]
-        return RingTransformJob(
-            n=first.n,
-            values=np.vstack([op.values for op in ops]),
+        return cls(
+            first.n,
+            np.vstack([op.values for op in ops]),
             inverse=first.inverse,
             negacyclic=first.negacyclic,
             radices=first.radices,
         )
 
-    @staticmethod
-    def split(ops: Sequence["RingTransformOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
-
     def encode_result(self, result) -> Any:
-        rows = [[int(v) for v in row] for row in result]
-        return rows[0] if self.flat else rows
+        return _encode_rows(result, self.flat)
+
+    def run(self, engine) -> np.ndarray:
+        ring = engine.ring(self.n, self.radices)
+        if self.negacyclic:
+            method = (
+                ring.negacyclic_inverse
+                if self.inverse
+                else ring.negacyclic_forward
+            )
+        else:
+            method = ring.inverse if self.inverse else ring.forward
+        return method(self.values)
 
 
 # -- convolutions ----------------------------------------------------------
 
 
-class ConvolveOp(ServiceOp):
+class ConvolveJob(Op):
     """Cyclic or negacyclic convolution of ``(batch, n)`` operands.
 
-    Payload: ``{"n": ..., "a": [[...], ...], "b": [[...], ...],
-    "negacyclic": false}``.  Broadcast requests (one ``b`` row against
-    an ``a`` batch) are accepted but never coalesced — the broadcast
-    operand's spectrum reuse is already their batching story.
+    ``b`` holds one row per ``a`` row, or one row broadcast against
+    every ``a`` row.  Payload: ``{"n": ..., "a": [[...], ...], "b":
+    [[...], ...], "negacyclic": false}``.  Broadcast ops are accepted
+    but never coalesced — the broadcast operand's spectrum reuse is
+    already their batching story.  ``map`` items are ``(a_row, b_row)``
+    pairs.
     """
 
     name = "convolve"
@@ -314,148 +297,121 @@ class ConvolveOp(ServiceOp):
     def __init__(
         self,
         n: int,
-        a: np.ndarray,
-        b: np.ndarray,
+        a,
+        b,
+        *,
         negacyclic: bool = False,
-        radices: Optional[Tuple[int, ...]] = None,
-        flat: bool = False,
+        radices: Optional[Sequence[int]] = None,
     ):
-        for label, mat in (("a", a), ("b", b)):
+        self.a, self.flat = _field_rows(a)
+        self.b, _ = _field_rows(b)
+        for label, mat in (("a", self.a), ("b", self.b)):
             if mat.ndim != 2 or mat.shape[1] != n:
                 raise ProtocolError(
                     f"{label} must be (batch, {n}), got {mat.shape}"
                 )
-        if b.shape[0] not in (a.shape[0], 1):
+        if self.b.shape[0] not in (self.a.shape[0], 1):
             raise ProtocolError(
                 "b must have one row per a row, or exactly one row"
             )
         self.n = int(n)
-        self.a = a
-        self.b = b
         self.negacyclic = bool(negacyclic)
         self.radices = tuple(radices) if radices is not None else None
-        self.flat = flat
-        self.broadcast = b.shape[0] == 1 and a.shape[0] > 1
+        self.count = int(self.a.shape[0])
+        self.coalescible = not (self.b.shape[0] == 1 and self.count > 1)
 
-    @property
-    def coalescible(self) -> bool:  # type: ignore[override]
-        return not self.broadcast
-
-    @property
-    def count(self) -> int:
-        return int(self.a.shape[0])
+    @classmethod
+    def batch(cls, items: list, **params) -> "ConvolveJob":
+        return cls(
+            a=[a for a, _ in items], b=[b for _, b in items], **params
+        )
 
     def coalesce_key(self) -> Tuple:
         return ("convolve", self.n, self.negacyclic, self.radices)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ConvolveOp":
-        from repro.field.vector import to_field_matrix
-
+    def from_payload(cls, payload: dict) -> "ConvolveJob":
         n = _require(payload, "n")
         if not isinstance(n, int) or n < 2:
             raise ProtocolError("n must be an integer >= 2")
-        raw_a = _require(payload, "a")
-        flat = isinstance(raw_a, list) and raw_a and not isinstance(
-            raw_a[0], list
-        )
-        rows_a = _int_rows(raw_a, "a")
-        rows_b = _int_rows(_require(payload, "b"), "b")
-        if any(len(row) != n for row in rows_a + rows_b):
+        a = _require(payload, "a")
+        b = _require(payload, "b")
+        if any(
+            len(row) != n for row in _int_rows(a, "a") + _int_rows(b, "b")
+        ):
             raise ProtocolError(f"every operand row must have {n} entries")
-        return cls(
-            n=n,
-            a=to_field_matrix(rows_a),
-            b=to_field_matrix(rows_b),
-            negacyclic=bool(payload.get("negacyclic", False)),
-            flat=flat,
-        )
+        return cls(n, a, b, negacyclic=bool(payload.get("negacyclic", False)))
 
     @classmethod
-    def of(
-        cls, n: int, a, b, *, negacyclic: bool = False
-    ) -> "ConvolveOp":
-        from repro.field.vector import to_field_matrix
-
-        def as_matrix(values):
-            values = np.asarray(values)
-            was_flat = values.ndim == 1
-            if was_flat:
-                values = values.reshape(1, -1)
-            if values.dtype != np.uint64:
-                values = to_field_matrix(
-                    [list(map(int, row)) for row in values]
-                )
-            return values, was_flat
-
-        a, flat = as_matrix(a)
-        b, _ = as_matrix(b)
-        return cls(n=n, a=a, b=b, negacyclic=negacyclic, flat=flat)
-
-    @staticmethod
-    def merge(ops: Sequence["ConvolveOp"]) -> Job:
+    def merge(cls, ops: Sequence["ConvolveJob"]) -> "ConvolveJob":
         first = ops[0]
-        if len(ops) == 1:
-            a, b = first.a, first.b
-        else:
-            a = np.vstack([op.a for op in ops])
-            b = np.vstack([op.b for op in ops])
-        return ConvolveJob(
-            n=first.n,
-            a=a,
-            b=b,
+        return cls(
+            first.n,
+            np.vstack([op.a for op in ops]),
+            np.vstack([op.b for op in ops]),
             negacyclic=first.negacyclic,
             radices=first.radices,
         )
 
-    @staticmethod
-    def split(ops: Sequence["ConvolveOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
-
     def encode_result(self, result) -> Any:
-        rows = [[int(v) for v in row] for row in result]
-        return rows[0] if self.flat else rows
+        return _encode_rows(result, self.flat)
+
+    def run(self, engine) -> np.ndarray:
+        return engine.ring(self.n, self.radices).convolve(
+            self.a, self.b, negacyclic=self.negacyclic
+        )
 
 
 # -- DGHV homomorphic AND layers -------------------------------------------
 
 
-class DGHVMultOp(ServiceOp):
-    """A layer of DGHV ciphertext products (homomorphic AND gates).
+class _MultiplierStrategy:
+    """The minimal ``scheme`` shape :func:`repro.fhe.ops._he_mult_many`
+    needs: an object exposing the engine's multiplier strategy."""
+
+    def __init__(self, engine):
+        from repro.engine.core import EngineMultiplier
+
+        self.multiplier = EngineMultiplier(engine)
+
+
+class DGHVMultJob(Op):
+    """A layer of DGHV homomorphic AND gates (ciphertext products).
+
+    Semantics and noise bookkeeping of
+    :meth:`repro.fhe.DGHV.multiply_many`: the γ×γ-bit products run as
+    one batched SSA pass through the engine (and therefore through its
+    backend — sharded on ``software-mp``, cycle-counted on
+    ``hw-model``), each reduced mod ``x0`` when one is given.
 
     Payload: ``{"params": {"name", "lam", "rho", "eta", "gamma",
     "tau"}, "x0": ..., "pairs": [[[value, noise_bits], [value,
-    noise_bits]], ...]}``.  Result: ``[[value, noise_bits], ...]`` with
-    the noise bookkeeping of :func:`repro.fhe.ops.he_mult_many`.
+    noise_bits]], ...]}``.  Result: ``[[value, noise_bits], ...]``.
     """
 
     name = "dghv-mult"
 
-    def __init__(self, params, pairs, x0: Optional[int] = None):
+    def __init__(self, pairs, x0: Optional[int] = None):
         from repro.fhe.dghv import Ciphertext
 
-        self.params = params
-        self.x0 = int(x0) if x0 is not None else None
-        self.pairs: List[Tuple[Any, Any]] = []
-        for a, b in pairs:
+        self.pairs = tuple(pairs)
+        if not self.pairs:
+            raise ProtocolError("dghv-mult needs at least one pair")
+        for a, b in self.pairs:
             if not isinstance(a, Ciphertext) or not isinstance(
                 b, Ciphertext
             ):
                 raise ProtocolError("dghv pairs must hold ciphertexts")
-            self.pairs.append((a, b))
-        if not self.pairs:
-            raise ProtocolError("dghv-mult needs at least one pair")
-
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
+        self.params = self.pairs[0][0].params
+        self.x0 = int(x0) if x0 is not None else None
+        self.count = len(self.pairs)
 
     def coalesce_key(self) -> Tuple:
         p = self.params
         return ("dghv-mult", p.name, p.gamma, p.eta, p.rho, p.tau, self.x0)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "DGHVMultOp":
+    def from_payload(cls, payload: dict) -> "DGHVMultJob":
         from repro.fhe.dghv import Ciphertext
         from repro.fhe.params import FHEParams
 
@@ -502,40 +458,37 @@ class DGHVMultOp(ServiceOp):
         x0 = payload.get("x0")
         if x0 is not None and not isinstance(x0, int):
             raise ProtocolError("x0 must be an integer")
-        return cls(params=params, pairs=pairs, x0=x0)
+        return cls(pairs, x0=x0)
 
     @classmethod
-    def of(cls, pairs, x0: Optional[int] = None) -> "DGHVMultOp":
-        if not pairs:
-            raise ProtocolError("dghv-mult needs at least one pair")
-        return cls(params=pairs[0][0].params, pairs=pairs, x0=x0)
-
-    @staticmethod
-    def merge(ops: Sequence["DGHVMultOp"]) -> Job:
-        merged: List[Tuple[Any, Any]] = []
-        for op in ops:
-            merged.extend(op.pairs)
-        return DGHVMultJob(pairs=tuple(merged), x0=ops[0].x0)
-
-    @staticmethod
-    def split(ops: Sequence["DGHVMultOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
+    def merge(cls, ops: Sequence["DGHVMultJob"]) -> "DGHVMultJob":
+        return cls([pair for op in ops for pair in op.pairs], x0=ops[0].x0)
 
     def encode_result(self, result) -> Any:
         return [[ct.value, ct.noise_bits] for ct in result]
+
+    def run(self, engine) -> List[Any]:
+        from repro.fhe.ops import _he_mult_many
+
+        return _he_mult_many(
+            _MultiplierStrategy(engine), self.pairs, x0=self.x0
+        )
 
 
 # -- RLWE plaintext products -----------------------------------------------
 
 
-class RLWEMultiplyPlainOp(ServiceOp):
+class RLWEMultiplyPlainJob(Op):
     """Batched RLWE plaintext-by-ciphertext products.
+
+    Bit-identical to :meth:`repro.fhe.rlwe.RLWE.multiply_plain_many` on
+    a scheme bound to the engine's plan (``3·B`` negacyclic transforms
+    total, on the engine's fused, permutation-free negacyclic plan).
+    ``map`` items are ``(ciphertext, plain)`` pairs.
 
     Payload: ``{"n": ..., "t": ..., "noise_bound": ...,
     "ciphertexts": [[c0_row, c1_row], ...], "plains": [[...], ...]}``.
-    Result: ``[[c0_row, c1_row], ...]``.  Coalesced requests share one
-    ``3·B``-transform ``multiply_plain_many`` pass on the engine's
-    fused, permutation-free negacyclic plan.
+    Result: ``[[c0_row, c1_row], ...]``.
     """
 
     name = "rlwe-multiply-plain"
@@ -548,19 +501,23 @@ class RLWEMultiplyPlainOp(ServiceOp):
             raise ProtocolError("rlwe-multiply-plain needs >= 1 pair")
         if len(self.ciphertexts) != len(self.plains):
             raise ProtocolError("one plaintext per ciphertext")
+        self.count = len(self.ciphertexts)
 
-    @property
-    def count(self) -> int:
-        return len(self.ciphertexts)
+    @classmethod
+    def batch(cls, items: list, **params) -> "RLWEMultiplyPlainJob":
+        return cls(
+            ciphertexts=[ct for ct, _ in items],
+            plains=[plain for _, plain in items],
+            **params,
+        )
 
     def coalesce_key(self) -> Tuple:
         p = self.params
         return ("rlwe-multiply-plain", p.n, p.t, p.noise_bound)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RLWEMultiplyPlainOp":
+    def from_payload(cls, payload: dict) -> "RLWEMultiplyPlainJob":
         from repro.fhe.rlwe import RLWECiphertext, RLWEParams
-        from repro.field.vector import to_field_array
 
         try:
             params = RLWEParams(
@@ -599,28 +556,17 @@ class RLWEMultiplyPlainOp(ServiceOp):
             raise ProtocolError(
                 f"plaintexts must have {params.n} coefficients"
             )
-        return cls(params=params, ciphertexts=cts, plains=plains)
+        return cls(params, cts, plains)
 
     @classmethod
-    def of(cls, params, ciphertexts, plains) -> "RLWEMultiplyPlainOp":
-        return cls(params=params, ciphertexts=ciphertexts, plains=plains)
-
-    @staticmethod
-    def merge(ops: Sequence["RLWEMultiplyPlainOp"]) -> Job:
-        cts: List[Any] = []
-        plains: List[Tuple[int, ...]] = []
-        for op in ops:
-            cts.extend(op.ciphertexts)
-            plains.extend(tuple(p) for p in op.plains)
-        return RLWEMultiplyPlainJob(
-            params=ops[0].params,
-            ciphertexts=tuple(cts),
-            plains=tuple(plains),
+    def merge(
+        cls, ops: Sequence["RLWEMultiplyPlainJob"]
+    ) -> "RLWEMultiplyPlainJob":
+        return cls(
+            ops[0].params,
+            [ct for op in ops for ct in op.ciphertexts],
+            [plain for op in ops for plain in op.plains],
         )
-
-    @staticmethod
-    def split(ops: Sequence["RLWEMultiplyPlainOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
 
     def encode_result(self, result) -> Any:
         return [
@@ -628,12 +574,16 @@ class RLWEMultiplyPlainOp(ServiceOp):
             for ct in result
         ]
 
+    def run(self, engine) -> List[Any]:
+        scheme = engine.fhe(self.params)
+        return scheme.multiply_plain_many(self.ciphertexts, self.plains)
+
 
 # -- RLWE ciphertext products ------------------------------------------------
 
 
 def _decode_rlwe_params(payload: dict):
-    """Shared RLWE parameter decode (single-modulus and RNS)."""
+    """RLWE parameter decode, single-modulus and RNS."""
     from repro.fhe.rlwe import RLWEParams
 
     raw_primes = payload.get("rns_primes")
@@ -657,14 +607,21 @@ def _decode_rlwe_params(payload: dict):
     return params
 
 
-class RLWEMultiplyOp(ServiceOp):
+class RLWEMultiplyJob(Op):
     """Batched RLWE ciphertext-by-ciphertext products (tensor +
     relinearization).
 
+    One tensor pass + one relinearization pass over the whole batch,
+    bit-identical to :meth:`repro.fhe.rlwe.RLWE.multiply_many` on a
+    scheme bound to the engine (every ring product rides the engine's
+    batch axis — sharded on ``software-mp``, cycle-counted on
+    ``hw-model``).  ``relin`` is the evaluator-side
+    :class:`repro.fhe.rlwe.RelinKeys` (a full key pair is accepted and
+    reduced to it); the secret never enters the op.
+
     Payload: the :func:`_decode_rlwe_params` fields (``n``, ``t``,
     ``noise_bound``, optional ``rns_primes``/``relin_base``), a
-    ``relin`` object (``RelinKeys.to_payload()`` — the evaluator key
-    material, never the secret) and ``pairs``:
+    ``relin`` object (``RelinKeys.to_payload()``) and ``pairs``:
     ``[[[c0, c1], [d0, d1]], ...]`` where a component is a flat
     coefficient list (single-modulus) or a ``level × n`` list of
     residue-channel rows (RNS).  Result: ``[[c0, c1], ...]`` in the
@@ -677,6 +634,10 @@ class RLWEMultiplyOp(ServiceOp):
     name = "rlwe-multiply"
 
     def __init__(self, params, relin, pairs):
+        from repro.fhe.rlwe import RLWEKeyPair
+
+        if isinstance(relin, RLWEKeyPair):
+            relin = relin.relin
         self.params = params
         self.relin = relin
         self.pairs = list(pairs)
@@ -688,10 +649,11 @@ class RLWEMultiplyOp(ServiceOp):
                 "all ciphertexts must sit at the same chain level"
             )
         self.level = levels.pop()
+        self.count = len(self.pairs)
 
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
+    @classmethod
+    def batch(cls, items: list, **params) -> "RLWEMultiplyJob":
+        return cls(pairs=items, **params)
 
     def coalesce_key(self) -> Tuple:
         p = self.params
@@ -707,9 +669,8 @@ class RLWEMultiplyOp(ServiceOp):
         )
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RLWEMultiplyOp":
+    def from_payload(cls, payload: dict) -> "RLWEMultiplyJob":
         from repro.fhe.rlwe import RelinKeys, RLWECiphertext
-        from repro.field.vector import to_field_array, to_field_matrix
 
         params = _decode_rlwe_params(payload)
         raw_relin = _require(payload, "relin")
@@ -772,32 +733,15 @@ class RLWEMultiplyOp(ServiceOp):
                     )
                 )
             pairs.append(tuple(decoded))
-        return cls(params=params, relin=relin, pairs=pairs)
+        return cls(params, relin, pairs)
 
     @classmethod
-    def of(cls, params, relin, pairs) -> "RLWEMultiplyOp":
-        from repro.fhe.rlwe import RLWEKeyPair
-
-        if isinstance(relin, RLWEKeyPair):
-            relin = relin.relin
-        return cls(params=params, relin=relin, pairs=pairs)
-
-    @staticmethod
-    def merge(ops: Sequence["RLWEMultiplyOp"]) -> Job:
-        from repro.engine.jobs import RLWEMultiplyJob
-
-        pairs: List[Tuple[Any, Any]] = []
-        for op in ops:
-            pairs.extend(op.pairs)
-        return RLWEMultiplyJob(
-            params=ops[0].params,
-            relin=ops[0].relin,
-            pairs=tuple(pairs),
+    def merge(cls, ops: Sequence["RLWEMultiplyJob"]) -> "RLWEMultiplyJob":
+        return cls(
+            ops[0].params,
+            ops[0].relin,
+            [pair for op in ops for pair in op.pairs],
         )
-
-    @staticmethod
-    def split(ops: Sequence["RLWEMultiplyOp"], result) -> List[Any]:
-        return _split_by_counts(ops, result)
 
     def encode_result(self, result) -> Any:
         def encode(component) -> Any:
@@ -807,22 +751,26 @@ class RLWEMultiplyOp(ServiceOp):
 
         return [[encode(ct.c0), encode(ct.c1)] for ct in result]
 
+    def run(self, engine) -> List[Any]:
+        scheme = engine.fhe(self.params)
+        return scheme.multiply_many(self.relin, self.pairs)
+
 
 #: Registered op name → class.
-OPS: Dict[str, Type[ServiceOp]] = {
+OPS: Dict[str, Type[Op]] = {
     op.name: op
     for op in (
-        MultiplyOp,
-        RingTransformOp,
-        ConvolveOp,
-        DGHVMultOp,
-        RLWEMultiplyPlainOp,
-        RLWEMultiplyOp,
+        MultiplyJob,
+        RingTransformJob,
+        ConvolveJob,
+        DGHVMultJob,
+        RLWEMultiplyPlainJob,
+        RLWEMultiplyJob,
     )
 }
 
 
-def decode_op(name: str, payload: dict) -> ServiceOp:
+def decode_op(name: str, payload: dict) -> Op:
     """Build the named op from a JSON payload (typed errors)."""
     try:
         op_class = OPS[name]
@@ -836,13 +784,14 @@ def decode_op(name: str, payload: dict) -> ServiceOp:
 
 
 __all__ = [
-    "ServiceOp",
-    "MultiplyOp",
-    "RingTransformOp",
-    "ConvolveOp",
-    "DGHVMultOp",
-    "RLWEMultiplyPlainOp",
-    "RLWEMultiplyOp",
+    "Op",
+    "ProtocolError",
+    "MultiplyJob",
+    "RingTransformJob",
+    "ConvolveJob",
+    "DGHVMultJob",
+    "RLWEMultiplyPlainJob",
+    "RLWEMultiplyJob",
     "OPS",
     "decode_op",
 ]

@@ -26,14 +26,7 @@ below the security requirement, as documented in
 
 from repro.fhe.params import FHEParams, TOY, MEDIUM, SMALL_DGHV
 from repro.fhe.dghv import DGHV, KeyPair, Ciphertext
-from repro.fhe.ops import (
-    HEScheme,
-    he_add,
-    he_mult,
-    he_mult_many,
-    he_xor_and_eval,
-    NoiseBudgetError,
-)
+from repro.fhe.ops import HEScheme, NoiseBudgetError
 from repro.fhe.rlwe import (
     RLWE,
     RLWEParams,
@@ -52,10 +45,6 @@ __all__ = [
     "KeyPair",
     "Ciphertext",
     "HEScheme",
-    "he_add",
-    "he_mult",
-    "he_mult_many",
-    "he_xor_and_eval",
     "NoiseBudgetError",
     "RLWE",
     "RLWEParams",

@@ -1,5 +1,5 @@
 """The common FHE surface: the :class:`HEScheme` protocol and the
-legacy DGHV gate helpers.
+DGHV gate implementations behind it.
 
 Every scheme the engine can hand out (`engine.fhe(...)` returns DGHV
 for integer parameters and RLWE for ring parameters) implements one
@@ -10,12 +10,6 @@ and the serving tier can be written once:
 
 plus batched ``*_many`` forms of each.
 
-The original free functions (``he_add``, ``he_mult``, ``he_mult_many``,
-``he_xor_and_eval``) predate the protocol and survive as
-``DeprecationWarning`` shims delegating to the private implementations
-below; migrate to scheme methods (``scheme.add(a, b)``,
-``scheme.multiply(keys, a, b)``, ...) — see the README migration table.
-
 DGHV noise bookkeeping: addition sums noises (≈ +1 bit), multiplication
 sums noise bit-lengths; reduction modulo ``x_0`` adds a constant.  A
 :class:`NoiseBudgetError` is raised when an operation would exceed the
@@ -25,7 +19,6 @@ corrupting results.
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Any,
     Iterable,
@@ -102,14 +95,6 @@ def _check_budget(result: Ciphertext, operation: str) -> Ciphertext:
             f"beyond the 2^{result.params.eta - 2} budget"
         )
     return result
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (HEScheme protocol)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _he_add(
@@ -251,52 +236,3 @@ def _he_xor_and_eval(
         out.append(scheme.decrypt(keys, c_xor))
         out.append(scheme.decrypt(keys, c_and))
     return out
-
-
-# -- deprecation shims -------------------------------------------------------
-#
-# The pre-HEScheme free-function API.  Every shim is behavior-identical
-# to its private implementation; new code should call the scheme
-# methods instead (``scheme.add(a, b)``, ``scheme.multiply(keys, a, b)``,
-# ``scheme.multiply_many(keys, pairs)``).
-
-
-def he_add(
-    a: Ciphertext, b: Ciphertext, x0: Optional[int] = None
-) -> Ciphertext:
-    """Deprecated: use ``scheme.add(a, b)`` (reduce mod ``x_0`` by
-    passing the full scheme key to ``multiply``/gates instead)."""
-    _deprecated("he_add", "DGHV.add")
-    return _he_add(a, b, x0=x0)
-
-
-def he_mult(
-    scheme: DGHV,
-    a: Ciphertext,
-    b: Ciphertext,
-    x0: Optional[int] = None,
-) -> Ciphertext:
-    """Deprecated: use ``scheme.multiply(keys, a, b)``."""
-    _deprecated("he_mult", "DGHV.multiply")
-    return _he_mult(scheme, a, b, x0=x0)
-
-
-def he_mult_many(
-    scheme: DGHV,
-    pairs: Sequence[Tuple[Ciphertext, Ciphertext]],
-    x0: Optional[int] = None,
-) -> List[Ciphertext]:
-    """Deprecated: use ``scheme.multiply_many(keys, pairs)``."""
-    _deprecated("he_mult_many", "DGHV.multiply_many")
-    return _he_mult_many(scheme, pairs, x0=x0)
-
-
-def he_xor_and_eval(
-    scheme: DGHV,
-    keys: KeyPair,
-    bits_a: Iterable[int],
-    bits_b: Iterable[int],
-) -> List[int]:
-    """Deprecated: use ``DGHV.xor_and_eval(keys, bits_a, bits_b)``."""
-    _deprecated("he_xor_and_eval", "DGHV.xor_and_eval")
-    return _he_xor_and_eval(scheme, keys, bits_a, bits_b)

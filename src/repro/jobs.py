@@ -15,6 +15,7 @@ from repro.engine.jobs import (
     JobScheduler,
     MultiplyJob,
     RingTransformJob,
+    RLWEMultiplyJob,
     RLWEMultiplyPlainJob,
     as_completed,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "ConvolveJob",
     "DGHVMultJob",
     "RLWEMultiplyPlainJob",
+    "RLWEMultiplyJob",
     "as_completed",
     "RetryPolicy",
     "NO_RETRY",

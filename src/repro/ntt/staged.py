@@ -46,17 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.field.vector import vmul
-from repro.ntt.kernels import stage_dft_loop, stage_executor
+from repro.ntt.kernels import stage_executor
 from repro.ntt.plan import ORDER_DECIMATED, TransformPlan
-
-
-def _stage_dft(block_view: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Reference radix-R DFT along axis 1 of a ``(B, R, M)`` array.
-
-    Back-compat shim over :func:`repro.ntt.kernels.stage_dft_loop`,
-    kept as the bit-exactness oracle for the fast kernel.
-    """
-    return stage_dft_loop(block_view, matrix)
 
 
 def execute_plan_batch(values: np.ndarray, plan: TransformPlan) -> np.ndarray:

@@ -20,23 +20,13 @@ Over TCP: ``repro serve --port 7100`` and ``repro client submit ...``,
 or :class:`TCPServiceClient` / :class:`AsyncServiceClient`.
 """
 
+from repro.engine.ops import OPS, decode_op
 from repro.serve.client import (
     AsyncServiceClient,
     ServiceClient,
     TCPServiceClient,
 )
 from repro.serve.metrics import MetricsRegistry, render_stats
-from repro.serve.ops import (
-    OPS,
-    ConvolveOp,
-    DGHVMultOp,
-    MultiplyOp,
-    RingTransformOp,
-    RLWEMultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceOp,
-    decode_op,
-)
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     STATUS_ERROR,
@@ -66,13 +56,6 @@ __all__ = [
     "ServiceScheduler",
     "MetricsRegistry",
     "render_stats",
-    "ServiceOp",
-    "MultiplyOp",
-    "RingTransformOp",
-    "ConvolveOp",
-    "DGHVMultOp",
-    "RLWEMultiplyOp",
-    "RLWEMultiplyPlainOp",
     "OPS",
     "decode_op",
     "Response",

@@ -5,8 +5,8 @@ Three ways to talk to the service, one :class:`Response` surface:
 - :class:`ServiceClient` — in-process, wraps a
   :class:`~repro.serve.service.ComputeService` directly.  No sockets,
   no JSON: ops are built from live objects (numpy rows, ciphertexts)
-  via the ``Op.of(...)`` constructors and results come back raw.  The
-  tool of choice for tests and benchmarks.
+  with the :mod:`repro.engine.ops` constructors and results come
+  back raw.  The tool of choice for tests and benchmarks.
 - :class:`TCPServiceClient` — blocking sockets, for scripts and the
   ``repro client`` CLI.  One call = submit + wait, but pipelining is
   available through :meth:`~TCPServiceClient.send` /
@@ -25,14 +25,14 @@ import itertools
 import socket
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.serve.ops import (
-    ConvolveOp,
-    DGHVMultOp,
-    MultiplyOp,
-    RingTransformOp,
-    RLWEMultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceOp,
+from repro.engine.ops import (
+    ConvolveJob,
+    DGHVMultJob,
+    MultiplyJob,
+    Op,
+    RingTransformJob,
+    RLWEMultiplyJob,
+    RLWEMultiplyPlainJob,
 )
 from repro.serve.protocol import (
     ProtocolError,
@@ -60,7 +60,7 @@ class ServiceClient:
 
     def submit(
         self,
-        op: ServiceOp,
+        op: Op,
         *,
         tenant: Optional[str] = None,
         priority: int = 0,
@@ -75,7 +75,7 @@ class ServiceClient:
             request_id=request_id,
         )
 
-    def call(self, op: ServiceOp, **kwargs) -> Response:
+    def call(self, op: Op, **kwargs) -> Response:
         return self.submit(op, **kwargs).result()
 
     def stats(self) -> dict:
@@ -86,7 +86,7 @@ class ServiceClient:
     def multiply(
         self, pairs: Sequence[Tuple[int, int]], **kwargs
     ) -> Response:
-        return self.call(MultiplyOp.of(pairs), **kwargs)
+        return self.call(MultiplyJob(pairs), **kwargs)
 
     def ring_transform(
         self,
@@ -99,7 +99,7 @@ class ServiceClient:
         **kwargs,
     ) -> Response:
         return self.call(
-            RingTransformOp.of(
+            RingTransformJob(
                 n,
                 values,
                 inverse=inverse,
@@ -113,19 +113,19 @@ class ServiceClient:
         self, n: int, a, b, *, negacyclic: bool = False, **kwargs
     ) -> Response:
         return self.call(
-            ConvolveOp.of(n, a, b, negacyclic=negacyclic), **kwargs
+            ConvolveJob(n, a, b, negacyclic=negacyclic), **kwargs
         )
 
     def dghv_mult(
         self, pairs, x0: Optional[int] = None, **kwargs
     ) -> Response:
-        return self.call(DGHVMultOp.of(pairs, x0=x0), **kwargs)
+        return self.call(DGHVMultJob(pairs, x0=x0), **kwargs)
 
     def rlwe_multiply_plain(
         self, params, ciphertexts, plains, **kwargs
     ) -> Response:
         return self.call(
-            RLWEMultiplyPlainOp.of(params, ciphertexts, plains),
+            RLWEMultiplyPlainJob(params, ciphertexts, plains),
             **kwargs,
         )
 
@@ -133,7 +133,7 @@ class ServiceClient:
         """Ciphertext-by-ciphertext products under ``relin`` keys
         (an :class:`repro.fhe.rlwe.RelinKeys` or a full key pair)."""
         return self.call(
-            RLWEMultiplyOp.of(params, relin, pairs), **kwargs
+            RLWEMultiplyJob(params, relin, pairs), **kwargs
         )
 
 

@@ -43,6 +43,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from repro.engine.ops import ProtocolError
+
 #: Frame length prefix: 4-byte big-endian unsigned length.
 _LENGTH = struct.Struct(">I")
 
@@ -55,10 +57,6 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
-
-
-class ProtocolError(ValueError):
-    """A malformed frame or request (bad length, JSON, or fields)."""
 
 
 # -- framing ---------------------------------------------------------------
@@ -79,8 +77,10 @@ def decode_body(body: bytes) -> dict:
     """The JSON object inside one frame body."""
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame body is not JSON: {error}") from None
+    except ValueError as error:
+        # Bad UTF-8, bad JSON, or an integer past Python's int-string
+        # digit limit — all answered with a typed error frame.
+        raise ProtocolError(f"frame body is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError("frame body must be a JSON object")
     return message

@@ -54,7 +54,7 @@ from repro.engine.resilience import (
     RetryPolicy,
 )
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.ops import ServiceOp
+from repro.engine.ops import Op
 from repro.serve.protocol import (
     STATUS_ERROR,
     STATUS_OK,
@@ -133,7 +133,7 @@ class PendingRequest:
 
     seq: int
     tenant: str
-    op: ServiceOp
+    op: Op
     priority: int
     request_id: Optional[object]
     enqueued_at: float
@@ -213,7 +213,7 @@ class ServiceScheduler:
     def submit(
         self,
         tenant: str,
-        op: ServiceOp,
+        op: Op,
         *,
         priority: int = 0,
         timeout: Optional[float] = None,

@@ -22,11 +22,12 @@ job never blocks another client's admission or a ``stats`` probe.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 from repro.engine.jobs import JobHandle, JobScheduler
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.ops import ServiceOp, decode_op
+from repro.engine.ops import Op, decode_op
 from repro.serve.protocol import (
     STATUS_ERROR,
     ProtocolError,
@@ -74,7 +75,7 @@ class ComputeService:
 
     def submit(
         self,
-        op: ServiceOp,
+        op: Op,
         *,
         tenant: str = "default",
         priority: int = 0,
@@ -260,7 +261,6 @@ class ServiceServer:
                 error=str(error),
                 error_type=ProtocolError.__name__,
             )
-            encoded = None
         else:
             future = self.service.submit(
                 op,
@@ -270,14 +270,30 @@ class ServiceServer:
                 request_id=request_id,
             )
             response = await asyncio.wrap_future(future)
-            encoded = (
-                op.encode_result(response.result)
-                if response.ok
-                else None
-            )
         try:
             async with write_lock:
-                await write_frame(writer, response.to_wire(encoded))
+                try:
+                    await write_frame(
+                        writer,
+                        response.to_wire(
+                            op.encode_result(response.result)
+                            if response.ok
+                            else None
+                        ),
+                    )
+                except ValueError as error:
+                    # The result does not fit the wire (an integer past
+                    # the int-string digit limit, a frame past
+                    # MAX_FRAME_BYTES): nothing was written, so answer
+                    # the request with a typed error instead.
+                    failed = replace(
+                        response,
+                        status=STATUS_ERROR,
+                        result=None,
+                        error=f"result cannot be encoded: {error}",
+                        error_type=ProtocolError.__name__,
+                    )
+                    await write_frame(writer, failed.to_wire())
         except (ConnectionError, OSError):
             pass  # client went away; the job's work is already done
         self._count_request()

@@ -256,7 +256,7 @@ def _check_jobs_mp() -> CheckResult:
             software.ring(128).forward(rows),
         )
         with JobScheduler(software) as jobs:
-            handle = jobs.submit(MultiplyJob.batched(pairs))
+            handle = jobs.submit(MultiplyJob(pairs))
             jobs_match = (
                 handle.result() == truth
                 and jobs.map("multiply", pairs, chunk=2) == truth

@@ -3,8 +3,8 @@
 Covers the ISSUE 3 surface: scalar-vs-batch polymorphism of
 ``engine.ring(n)``, bit-identity of the ``software`` and ``hw-model``
 backends, per-engine plan caching, the one-shot ``REPRO_NTT_KERNEL``
-environment read with its documented precedence, FHE context binding,
-and the top-level deprecation shims.
+environment read with its documented precedence, and FHE context
+binding.
 """
 
 import random
@@ -14,18 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.engine import (
     Engine,
     ExecutionConfig,
     available_backends,
     create_backend,
-    default_engine,
     register_backend,
 )
 from repro.engine.backends import SoftwareBackend
 from repro.field.solinas import P
-from repro.fhe.ops import he_mult, he_mult_many
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.ntt.convolution import cyclic_convolution
@@ -452,7 +449,7 @@ class TestEngineFHE:
         keys = scheme.generate_keys()
         ca = scheme.encrypt(keys, 1)
         cb = scheme.encrypt(keys, 1)
-        product = he_mult(scheme, ca, cb, x0=keys.x0)
+        product = scheme.multiply(keys, ca, cb)
         assert scheme.decrypt(keys, product) == 1
 
     def test_dghv_batched_gates(self):
@@ -463,7 +460,7 @@ class TestEngineFHE:
             (scheme.encrypt(keys, a), scheme.encrypt(keys, b))
             for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]
         ]
-        ands = he_mult_many(scheme, pairs, x0=keys.x0)
+        ands = scheme.multiply_many(keys, pairs)
         assert [scheme.decrypt(keys, c) for c in ands] == [0, 0, 0, 1]
 
     def test_rlwe_bound_to_engine_plan(self):
@@ -506,31 +503,3 @@ class TestEngineFHE:
     def test_bad_params_type(self):
         with pytest.raises(TypeError):
             Engine().fhe(params=object())
-
-
-class TestDeprecationShims:
-    def test_ssa_multiply_warns_and_matches(self):
-        from repro.ssa import ssa_multiply as modern
-
-        a, b = 12345678901234567890, 98765432109876543210
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.ssa_multiply(a, b)
-        assert legacy == modern(a, b) == a * b
-
-    def test_plan_for_size_warns_and_aliases(self):
-        from repro.ntt.plan import plan_for_size as modern
-
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.plan_for_size(512)
-        assert legacy is modern(512)
-
-    def test_paper_64k_plan_warns_and_aliases(self):
-        from repro.ntt import paper_64k_plan as modern
-
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.paper_64k_plan()
-        assert legacy is modern()
-
-    def test_default_engine_is_a_singleton(self):
-        assert default_engine() is default_engine()
-        assert default_engine().config.cache == "shared"

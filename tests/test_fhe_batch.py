@@ -1,4 +1,4 @@
-"""Tests for the batched FHE APIs (RLWE *_many, he_mult_many)."""
+"""Tests for the batched FHE APIs (RLWE and DGHV *_many)."""
 
 import random
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.fhe.dghv import DGHV
-from repro.fhe.ops import he_mult, he_mult_many
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.ssa.multiplier import SSAMultiplier
@@ -89,7 +88,7 @@ class TestHeMultMany:
         scheme = DGHV(TOY, rng=random.Random(11))
         keys = scheme.generate_keys()
         pairs, expected = self._truth_table(scheme, keys)
-        results = he_mult_many(scheme, pairs, x0=keys.x0)
+        results = scheme.multiply_many(keys, pairs)
         assert [scheme.decrypt(keys, c) for c in results] == expected
 
     def test_ssa_backed_multiplier_batches(self):
@@ -97,21 +96,21 @@ class TestHeMultMany:
         scheme = DGHV(TOY, multiplier=multiplier.multiply, rng=random.Random(11))
         keys = scheme.generate_keys()
         pairs, expected = self._truth_table(scheme, keys)
-        results = he_mult_many(scheme, pairs, x0=keys.x0)
+        results = scheme.multiply_many(keys, pairs)
         assert [scheme.decrypt(keys, c) for c in results] == expected
 
     def test_matches_looped_he_mult(self):
         scheme = DGHV(TOY, rng=random.Random(23))
         keys = scheme.generate_keys()
         pairs, _ = self._truth_table(scheme, keys)
-        batch = he_mult_many(scheme, pairs, x0=keys.x0)
-        looped = [he_mult(scheme, a, b, x0=keys.x0) for a, b in pairs]
+        batch = scheme.multiply_many(keys, pairs)
+        looped = [scheme.multiply(keys, a, b) for a, b in pairs]
         assert [c.value for c in batch] == [c.value for c in looped]
         assert [c.noise_bits for c in batch] == [c.noise_bits for c in looped]
 
     def test_empty_batch(self):
         scheme = DGHV(TOY, rng=random.Random(3))
-        assert he_mult_many(scheme, []) == []
+        assert scheme.multiply_many(scheme.generate_keys(), []) == []
 
     def test_overridden_multiply_is_not_bypassed(self):
         """A subclass overriding multiply (but inheriting multiply_many)
@@ -129,6 +128,6 @@ class TestHeMultMany:
         )
         keys = scheme.generate_keys()
         pairs, expected = self._truth_table(scheme, keys)
-        results = he_mult_many(scheme, pairs, x0=keys.x0)
+        results = scheme.multiply_many(keys, pairs)
         assert [scheme.decrypt(keys, c) for c in results] == expected
         assert len(calls) == len(pairs)

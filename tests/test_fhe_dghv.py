@@ -124,9 +124,7 @@ class TestMultiplierStrategy:
             return a * b
 
         scheme = DGHV(TOY, multiplier=spy, rng=random.Random(9))
-        from repro.fhe.ops import he_mult
-
         ca = scheme.encrypt(keys, 1)
         cb = scheme.encrypt(keys, 1)
-        he_mult(scheme, ca, cb, x0=keys.x0)
+        scheme.multiply(keys, ca, cb)
         assert len(calls) == 1

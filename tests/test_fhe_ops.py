@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.fhe.dghv import DGHV, Ciphertext
-from repro.fhe.ops import NoiseBudgetError, he_add, he_mult, he_xor_and_eval
+from repro.fhe.ops import NoiseBudgetError
 from repro.fhe.params import TOY
 from repro.ssa.multiplier import SSAMultiplier
 
@@ -25,18 +25,18 @@ class TestHomomorphicTruthTables:
     @pytest.mark.parametrize("b", [0, 1])
     def test_xor(self, scheme, keys, a, b):
         ca, cb = scheme.encrypt(keys, a), scheme.encrypt(keys, b)
-        assert scheme.decrypt(keys, he_add(ca, cb, x0=keys.x0)) == a ^ b
+        assert scheme.decrypt(keys, scheme.add(ca, cb)) == a ^ b
 
     @pytest.mark.parametrize("a", [0, 1])
     @pytest.mark.parametrize("b", [0, 1])
     def test_and(self, scheme, keys, a, b):
         ca, cb = scheme.encrypt(keys, a), scheme.encrypt(keys, b)
-        got = scheme.decrypt(keys, he_mult(scheme, ca, cb, x0=keys.x0))
+        got = scheme.decrypt(keys, scheme.multiply(keys, ca, cb))
         assert got == (a & b)
 
     def test_add_without_reduction(self, scheme, keys):
         ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)
-        assert scheme.decrypt(keys, he_add(ca, cb)) == 0
+        assert scheme.decrypt(keys, scheme.add(ca, cb)) == 0
 
     def test_operator_sugar(self, scheme, keys):
         ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 0)
@@ -46,31 +46,31 @@ class TestHomomorphicTruthTables:
 class TestNoiseBookkeeping:
     def test_add_noise_grows_slowly(self, scheme, keys):
         ca, cb = scheme.encrypt(keys, 0), scheme.encrypt(keys, 1)
-        out = he_add(ca, cb, x0=keys.x0)
+        out = scheme.add(ca, cb)
         assert out.noise_bits <= max(ca.noise_bits, cb.noise_bits) + 1
 
     def test_mult_noise_sums(self, scheme, keys):
         ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)
-        out = he_mult(scheme, ca, cb, x0=keys.x0)
+        out = scheme.multiply(keys, ca, cb)
         assert out.noise_bits == ca.noise_bits + cb.noise_bits + 1
 
     def test_actual_noise_within_tracked_bound(self, scheme, keys):
         ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)
-        c = he_mult(scheme, ca, cb, x0=keys.x0)
+        c = scheme.multiply(keys, ca, cb)
         assert scheme.noise_of(keys, c).bit_length() <= c.noise_bits
 
     def test_budget_exhaustion_raises(self, scheme, keys):
         c = scheme.encrypt(keys, 1)
         with pytest.raises(NoiseBudgetError):
             for _ in range(20):
-                c = he_mult(scheme, c, c, x0=keys.x0)
+                c = scheme.multiply(keys, c, c)
 
     def test_depth_matches_params_estimate(self, scheme, keys):
         """Squaring chains survive at least the estimated depth."""
         depth = TOY.multiplicative_depth
         c = scheme.encrypt(keys, 1)
         for _ in range(depth):
-            c = he_mult(scheme, c, scheme.encrypt(keys, 1), x0=keys.x0)
+            c = scheme.multiply(keys, c, scheme.encrypt(keys, 1))
         assert scheme.decrypt(keys, c) == 1
 
     def test_mismatched_params_rejected(self, scheme, keys):
@@ -79,16 +79,16 @@ class TestNoiseBookkeeping:
         other = Ciphertext(value=1, noise_bits=1, params=MEDIUM)
         mine = scheme.encrypt(keys, 0)
         with pytest.raises(ValueError):
-            he_add(mine, other)
+            scheme.add(mine, other)
         with pytest.raises(ValueError):
-            he_mult(scheme, mine, other)
+            scheme.multiply(keys, mine, other)
 
 
 class TestCircuitEval:
     def test_xor_and_vector(self, scheme, keys, rng):
         bits_a = [rng.getrandbits(1) for _ in range(16)]
         bits_b = [rng.getrandbits(1) for _ in range(16)]
-        got = he_xor_and_eval(scheme, keys, bits_a, bits_b)
+        got = scheme.xor_and_eval(keys, bits_a, bits_b)
         want = []
         for a, b in zip(bits_a, bits_b):
             want += [a ^ b, a & b]
@@ -105,50 +105,13 @@ class TestSSABackedFHE:
         for a in (0, 1):
             for b in (0, 1):
                 ca, cb = scheme.encrypt(keys, a), scheme.encrypt(keys, b)
-                c = he_mult(scheme, ca, cb, x0=keys.x0)
+                c = scheme.multiply(keys, ca, cb)
                 assert scheme.decrypt(keys, c) == (a & b)
 
 
 class TestDeprecationShims:
-    """The pre-HEScheme free functions warn but stay behavior-identical."""
-
-    def test_he_add_warns_and_delegates(self, scheme, keys):
-        ca = scheme.encrypt(keys, 1)
-        cb = scheme.encrypt(keys, 1)
-        with pytest.warns(DeprecationWarning, match="he_add"):
-            shimmed = he_add(ca, cb, x0=keys.x0)
-        direct = scheme.add(ca, cb)
-        assert shimmed.value == (ca.value + cb.value) % keys.x0
-        assert shimmed.noise_bits == direct.noise_bits
-        assert scheme.decrypt(keys, shimmed) == 0
-
-    def test_he_mult_warns_and_matches_protocol_method(
-        self, scheme, keys
-    ):
-        ca = scheme.encrypt(keys, 1)
-        cb = scheme.encrypt(keys, 1)
-        with pytest.warns(DeprecationWarning, match="he_mult"):
-            shimmed = he_mult(scheme, ca, cb, x0=keys.x0)
-        direct = scheme.multiply(keys, ca, cb)
-        assert shimmed.value == direct.value
-        assert shimmed.noise_bits == direct.noise_bits
-
-    def test_he_mult_many_warns_and_matches(self, scheme, keys):
-        from repro.fhe.ops import he_mult_many
-
-        pairs = [
-            (scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)),
-            (scheme.encrypt(keys, 1), scheme.encrypt(keys, 0)),
-        ]
-        with pytest.warns(DeprecationWarning, match="he_mult_many"):
-            shimmed = he_mult_many(scheme, pairs, x0=keys.x0)
-        direct = scheme.multiply_many(keys, pairs)
-        assert [c.value for c in shimmed] == [c.value for c in direct]
-
-    def test_he_xor_and_eval_warns(self, scheme, keys):
-        with pytest.warns(DeprecationWarning, match="he_xor_and_eval"):
-            got = he_xor_and_eval(scheme, keys, [1], [1])
-        assert got == [0, 1]
+    """The pre-HEScheme free functions are gone; the protocol methods
+    that replaced them warn about nothing."""
 
     def test_protocol_methods_do_not_warn(self, scheme, keys, recwarn):
         ca = scheme.encrypt(keys, 1)

@@ -14,7 +14,6 @@ from repro import (
     table1_report,
     table2_report,
 )
-from repro.fhe.ops import he_add, he_mult
 from repro.hw.accelerator import HEAccelerator as _Acc
 from repro.ntt.plan import plan_for_size
 from repro.ssa.encode import SSAParameters
@@ -39,7 +38,7 @@ class TestFHEOnAccelerator:
         keys = scheme.generate_keys()
         ca = scheme.encrypt(keys, 1)
         cb = scheme.encrypt(keys, 1)
-        c = he_mult(scheme, ca, cb, x0=keys.x0)
+        c = scheme.multiply(keys, ca, cb)
         assert scheme.decrypt(keys, c) == 1
         assert len(reports) == 1
         assert reports[0].total_cycles > 0
@@ -55,8 +54,8 @@ class TestFHEOnAccelerator:
         for a0 in (0, 1):
             for b0 in (0, 1):
                 # Half adder: sum = a^b, carry = a&b.
-                s = he_add(enc(a0), enc(b0), x0=keys.x0)
-                c = he_mult(scheme, enc(a0), enc(b0), x0=keys.x0)
+                s = scheme.add(enc(a0), enc(b0))
+                c = scheme.multiply(keys, enc(a0), enc(b0))
                 assert scheme.decrypt(keys, s) == a0 ^ b0
                 assert scheme.decrypt(keys, c) == a0 & b0
 

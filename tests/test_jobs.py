@@ -84,7 +84,7 @@ class TestSubmit:
         order = []
 
         class Probe:
-            kind = "probe"
+            name = "probe"
 
             def __init__(self, tag):
                 self.tag = tag
@@ -100,7 +100,7 @@ class TestSubmit:
 
     def test_exception_propagates(self):
         class Boom:
-            kind = "boom"
+            name = "boom"
 
             def run(self, engine):
                 raise RuntimeError("kaput")
@@ -120,7 +120,7 @@ class TestSubmit:
 
     def test_hw_model_jobs_carry_reports(self):
         with JobScheduler(Engine(backend="hw-model")) as jobs:
-            handle = jobs.submit(MultiplyJob.batched([(3, 5), (7, 11)]))
+            handle = jobs.submit(MultiplyJob([(3, 5), (7, 11)]))
             assert handle.result() == [15, 77]
             assert isinstance(handle.report, list)
             assert all(r.total_cycles > 0 for r in handle.report)
@@ -182,7 +182,7 @@ class TestSchedulerLifecycle:
             ExecutionConfig(workers=2), backend="software-mp"
         )
         pairs = _pairs(random.Random(51), 4, bits=256)
-        assert scheduler.submit(MultiplyJob.batched(pairs)).result() == [
+        assert scheduler.submit(MultiplyJob(pairs)).result() == [
             a * b for a, b in pairs
         ]
         assert scheduler.engine.backend._pool is not None
@@ -198,7 +198,7 @@ class TestSchedulerLifecycle:
             left = [a for a, _ in pairs]
             right = [b for _, b in pairs]
             with JobScheduler(engine) as jobs:
-                jobs.submit(MultiplyJob.batched(pairs)).result()
+                jobs.submit(MultiplyJob(pairs)).result()
             # The scheduler must not tear down an engine it was handed.
             assert engine.backend._pool is not None
             assert engine.multiply(left, right) == [
@@ -214,7 +214,7 @@ class TestSchedulerLifecycle:
             ExecutionConfig(workers=2), backend="software-mp"
         )
         pairs = _pairs(random.Random(57), 4, bits=256)
-        handle = scheduler.submit(MultiplyJob.batched(pairs))
+        handle = scheduler.submit(MultiplyJob(pairs))
         scheduler.shutdown(wait=False)  # must not block on the queue
         assert handle.result() == [a * b for a, b in pairs]
         deadline = time.monotonic() + 30
@@ -227,7 +227,7 @@ class TestSchedulerLifecycle:
 
     def test_failed_job_does_not_inherit_previous_report(self):
         class Boom:
-            kind = "boom"
+            name = "boom"
 
             def run(self, engine):
                 raise RuntimeError("no backend call made")
@@ -248,7 +248,7 @@ class TestSchedulerLifecycle:
         own_report = engine.last_report
         assert own_report is not None
         with JobScheduler(engine) as jobs:
-            handle = jobs.submit(MultiplyJob.batched([(7, 11), (13, 17)]))
+            handle = jobs.submit(MultiplyJob([(7, 11), (13, 17)]))
             assert handle.result() == [77, 221]
         assert isinstance(handle.report, list)  # the job's own reports
         assert len(handle.report) == 2
@@ -277,7 +277,7 @@ class TestMap:
         pairs = [(2, 3), (4, 5), (6, 7)]
         with JobScheduler(Engine()) as jobs:
             got = jobs.map(
-                lambda chunk: MultiplyJob.batched(chunk), pairs, chunk=2
+                lambda chunk: MultiplyJob(chunk), pairs, chunk=2
             )
         assert got == [6, 20, 42]
 
@@ -301,7 +301,7 @@ class TestMap:
             # silently ignoring the caller's parameters
             with pytest.raises(TypeError):
                 jobs.map(
-                    lambda chunk: MultiplyJob.batched(chunk),
+                    lambda chunk: MultiplyJob(chunk),
                     [(1, 2)],
                     x0=99,
                 )
@@ -312,11 +312,47 @@ class TestMap:
         engine = Engine()
         oracle = engine.ring(64).forward(rows)
         with JobScheduler(engine) as jobs:
-            got = jobs.map("ring-forward", list(rows), chunk=2, n=64)
+            got = jobs.map("ring-transform", list(rows), chunk=2, n=64)
             assert isinstance(got, np.ndarray)
             assert np.array_equal(got, oracle)
-            back = jobs.map("ring-inverse", list(got), chunk=4, n=64)
+            back = jobs.map(
+                "ring-transform", list(got), chunk=4, n=64, inverse=True
+            )
             assert np.array_equal(back, rows)
+
+    def test_map_pair_items_for_convolve_and_rlwe(self):
+        """Ops whose map items are pairs: chunked maps equal one call."""
+        rng = np.random.default_rng(29)
+        a = rng.integers(0, P, size=(3, 64), dtype=np.uint64)
+        b = rng.integers(0, P, size=(3, 64), dtype=np.uint64)
+        params = RLWEParams(n=64, t=17, noise_bound=4)
+        engine = Engine()
+        scheme = engine.fhe(params, rng=random.Random(29))
+        keys = scheme.keygen()
+        cts = scheme.encrypt_many(keys, [[i] * 64 for i in range(3)])
+        plains = [[i + 1] * 64 for i in range(3)]
+        pairs = list(zip(cts, cts[1:] + cts[:1]))
+        with JobScheduler(engine) as jobs:
+            conv = jobs.map(
+                "convolve", list(zip(a, b)), chunk=2, n=64, negacyclic=True
+            )
+            plain = jobs.map(
+                "rlwe-multiply-plain",
+                list(zip(cts, plains)),
+                chunk=2,
+                params=params,
+            )
+            prods = jobs.map(
+                "rlwe-multiply", pairs, chunk=2, params=params, relin=keys
+            )
+        assert np.array_equal(
+            conv, engine.ring(64).convolve(a, b, negacyclic=True)
+        )
+        want = scheme.multiply_plain_many(cts, plains)
+        want += scheme.multiply_many(keys, pairs)
+        for got_ct, want_ct in zip(plain + prods, want):
+            assert np.array_equal(got_ct.c0, want_ct.c0)
+            assert np.array_equal(got_ct.c1, want_ct.c1)
 
     def test_as_completed_yields_every_handle(self):
         pairs = _pairs(random.Random(2), 6, bits=128)

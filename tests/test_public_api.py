@@ -15,11 +15,10 @@ class TestTopLevel:
         "name",
         [
             "P",
+            "Engine",
+            "ExecutionConfig",
             "SSAMultiplier",
-            "ssa_multiply",
             "PAPER_PARAMETERS",
-            "paper_64k_plan",
-            "plan_for_size",
             "HEAccelerator",
             "AcceleratorTiming",
             "PAPER_TIMING",
@@ -81,7 +80,7 @@ class TestSubpackageExports:
                     "AcceleratorController",
                 ],
             ),
-            ("repro.fhe", ["DGHV", "he_add", "he_mult", "RLWE"]),
+            ("repro.fhe", ["DGHV", "HEScheme", "NoiseBudgetError", "RLWE"]),
             ("repro.analysis", ["shape_check", "pe_scaling_sweep"]),
         ],
     )

@@ -303,14 +303,14 @@ class TestTimeout:
             with JobScheduler(engine) as jobs:
                 with faultinject.inject("shard-delay:0:30"):
                     handle = jobs.submit(
-                        MultiplyJob.batched(pairs), timeout=0.5
+                        MultiplyJob(pairs), timeout=0.5
                     )
                     with pytest.raises(JobTimeoutError):
                         handle.result()
                 assert handle.fault_report.count("timeout") >= 1
                 # The scheduler (and a fresh lazily respawned pool)
                 # stay usable after the hung pool was abandoned.
-                ok = jobs.submit(MultiplyJob.batched(pairs))
+                ok = jobs.submit(MultiplyJob(pairs))
                 assert ok.result() == truth
             assert _shm_residue() == before
         finally:
@@ -320,7 +320,7 @@ class TestTimeout:
         engine = _mp_engine("fork")
 
         class Slow:
-            kind = "slow"
+            name = "slow"
 
             def run(self, engine):
                 time.sleep(0.6)
@@ -446,7 +446,7 @@ class TestShardVerification:
 
 
 class _FlakyJob:
-    kind = "flaky"
+    name = "flaky"
 
     def __init__(self, failures, error=WorkerCrashError):
         self.remaining = failures
@@ -500,7 +500,7 @@ class TestSchedulerResilience:
         from concurrent.futures import CancelledError
 
         class Slow:
-            kind = "slow"
+            name = "slow"
 
             def run(self, engine):
                 time.sleep(0.5)
@@ -534,7 +534,7 @@ class TestSchedulerResilience:
         try:
             with JobScheduler(engine) as jobs:
                 with faultinject.inject("worker-kill:0"):
-                    handle = jobs.submit(MultiplyJob.batched(pairs))
+                    handle = jobs.submit(MultiplyJob(pairs))
                     assert handle.result() == [a * b for a, b in pairs]
                 assert handle.fault_report.respawns >= 1
         finally:

@@ -15,6 +15,8 @@ The acceptance invariants of the serving tier live here:
 
 import asyncio
 import random
+import struct
+import sys
 import threading
 import time
 
@@ -22,7 +24,15 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, ExecutionConfig, faultinject
-from repro.engine.jobs import JobScheduler, MultiplyJob
+from repro.engine.jobs import JobScheduler
+from repro.engine.ops import (
+    OPS,
+    ConvolveJob,
+    MultiplyJob,
+    RingTransformJob,
+    RLWEMultiplyJob,
+    RLWEMultiplyPlainJob,
+)
 from repro.engine.resilience import JobTimeoutError
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWEParams
@@ -31,23 +41,21 @@ from repro.serve import (
     REJECT_GLOBAL_FULL,
     REJECT_SHUTDOWN,
     REJECT_TENANT_FULL,
+    STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
     STATUS_TIMEOUT,
     AsyncServiceClient,
     ComputeService,
-    MultiplyOp,
     ProtocolError,
     Response,
-    RingTransformOp,
     ServiceClient,
     ServiceConfig,
     ServiceServer,
     decode_op,
 )
 from repro.serve.metrics import percentile
-from repro.serve.ops import ConvolveOp, DGHVMultOp, RLWEMultiplyPlainOp
-from repro.serve.protocol import decode_body, encode_frame
+from repro.serve.protocol import decode_body, encode_frame, read_frame
 
 
 @pytest.fixture(autouse=True)
@@ -120,25 +128,25 @@ class TestOps:
             decode_op("multiply", {})
 
     def test_multiply_coalesce_key_buckets_width(self):
-        small_a = MultiplyOp.of([(3, 5)])
-        small_b = MultiplyOp.of([(7, 2)])
-        big = MultiplyOp.of([(1 << 600, 3)])
+        small_a = MultiplyJob([(3, 5)])
+        small_b = MultiplyJob([(7, 2)])
+        big = MultiplyJob([(1 << 600, 3)])
         assert small_a.coalesce_key() == small_b.coalesce_key()
         assert small_a.coalesce_key() != big.coalesce_key()
 
     def test_ring_keys_split_on_direction_and_size(self):
-        fwd = RingTransformOp.of(8, [list(range(8))])
-        inv = RingTransformOp.of(8, [list(range(8))], inverse=True)
-        other = RingTransformOp.of(16, [list(range(16))])
+        fwd = RingTransformJob(8, [list(range(8))])
+        inv = RingTransformJob(8, [list(range(8))], inverse=True)
+        other = RingTransformJob(16, [list(range(16))])
         assert fwd.coalesce_key() != inv.coalesce_key()
         assert fwd.coalesce_key() != other.coalesce_key()
 
     def test_broadcast_convolve_not_coalescible(self):
         a = np.ones((3, 8), dtype=np.uint64)
         b = np.ones((1, 8), dtype=np.uint64)
-        op = ConvolveOp.of(8, a, b)
+        op = ConvolveJob(8, a, b)
         assert not op.coalescible
-        assert ConvolveOp.of(8, a, a).coalescible
+        assert ConvolveJob(8, a, a).coalescible
 
     def test_dghv_noise_bits_must_be_numeric(self):
         params = {
@@ -216,7 +224,106 @@ class TestServiceBasics:
 # -- coalescing ------------------------------------------------------------
 
 
+def _wire_rows(matrix):
+    return [[int(v) for v in row] for row in matrix]
+
+
+def _wire_payloads(name):
+    """Two wire payloads of op ``name`` that share a coalesce key (the
+    first carries two items, the second one, flat where the op allows)."""
+    rng = np.random.default_rng(61)
+    if name == "multiply":
+        big = random.Random(61)
+        pairs = [
+            [big.getrandbits(255) | 1 << 255, big.getrandbits(255) | 1 << 255]
+            for _ in range(3)
+        ]
+        return [{"pairs": pairs[:2]}, {"pairs": pairs[2:]}]
+    if name in ("ring-transform", "convolve"):
+        a = _wire_rows(rng.integers(0, P, size=(3, 64), dtype=np.uint64))
+        b = _wire_rows(rng.integers(0, P, size=(3, 64), dtype=np.uint64))
+        if name == "ring-transform":
+            return [
+                {"n": 64, "values": a[:2], "negacyclic": True},
+                {"n": 64, "values": a[2], "negacyclic": True},
+            ]
+        return [
+            {"n": 64, "a": a[:2], "b": b[:2], "negacyclic": True},
+            {"n": 64, "a": a[2], "b": b[2], "negacyclic": True},
+        ]
+    if name == "dghv-mult":
+        scheme = Engine().fhe(TOY, rng=random.Random(67))
+        keys = scheme.generate_keys()
+        cts = [
+            [ct.value, ct.noise_bits]
+            for ct in scheme.encrypt_many(keys, [0, 1, 1, 1, 0, 1])
+        ]
+        params = {
+            field: getattr(TOY, field)
+            for field in ("name", "lam", "rho", "eta", "gamma", "tau")
+        }
+        pairs = [cts[i : i + 2] for i in range(0, 6, 2)]
+        return [
+            {"params": params, "x0": keys.x0, "pairs": chunk}
+            for chunk in (pairs[:2], pairs[2:])
+        ]
+    if name == "rlwe-multiply-plain":
+        params = RLWEParams(n=64, t=64, noise_bound=4)
+        scheme = Engine().fhe(params, rng=random.Random(71))
+        secret = scheme.generate_secret()
+        messages = rng.integers(0, params.t, size=(3, params.n)).tolist()
+        plains = rng.integers(0, params.t, size=(3, params.n)).tolist()
+        cts = [
+            [_wire_rows([ct.c0])[0], _wire_rows([ct.c1])[0]]
+            for ct in (scheme.encrypt(secret, m) for m in messages)
+        ]
+        base = {"n": params.n, "t": params.t, "noise_bound": 4}
+        return [
+            dict(base, ciphertexts=cts[:2], plains=plains[:2]),
+            dict(base, ciphertexts=cts[2:], plains=plains[2:]),
+        ]
+    assert name == "rlwe-multiply"
+    from repro.fhe.rlwe import default_rns_primes
+
+    params = RLWEParams(
+        n=64, t=17, noise_bound=4, rns_primes=default_rns_primes(64, 17, 2)
+    )
+    scheme = Engine().fhe(params, rng=random.Random(73))
+    keys = scheme.keygen()
+    messages = rng.integers(0, params.t, size=(6, params.n)).tolist()
+    cts = [
+        [_wire_rows(ct.c0), _wire_rows(ct.c1)]
+        for ct in scheme.encrypt_many(keys, messages)
+    ]
+    pairs = [cts[i : i + 2] for i in range(0, 6, 2)]
+    base = {
+        "n": params.n,
+        "t": params.t,
+        "noise_bound": params.noise_bound,
+        "rns_primes": list(params.rns_primes),
+        "relin": keys.relin.to_payload(),
+    }
+    return [dict(base, pairs=pairs[:2]), dict(base, pairs=pairs[2:])]
+
+
 class TestCoalescing:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_wire_requests_merge_bit_identical(self, name):
+        """Every op: two requests decoded from the wire, merged, run
+        and split, answer exactly what each answers run alone."""
+        op_class = OPS[name]
+        ops = [decode_op(name, payload) for payload in _wire_payloads(name)]
+        assert all(type(op) is op_class and op.coalescible for op in ops)
+        assert ops[0].coalesce_key() == ops[1].coalesce_key()
+        merged = op_class.merge(ops)
+        assert type(merged) is op_class
+        assert merged.count == sum(op.count for op in ops) == 3
+        with Engine() as engine:
+            together = op_class.split(ops, merged.run(engine))
+            alone = [op.run(engine) for op in ops]
+        for op, got, want in zip(ops, together, alone):
+            assert op.encode_result(got) == op.encode_result(want)
+
     def test_multiply_coalesces_and_matches_individual(self):
         # Same-width operands: one coalesce bucket, one engine pass.
         pairs = [(100 + i, 200 + i) for i in range(6)]
@@ -231,7 +338,7 @@ class TestCoalescing:
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        MultiplyOp.of([pair]), tenant=f"t{i % 3}"
+                        MultiplyJob([pair]), tenant=f"t{i % 3}"
                     )
                     for i, pair in enumerate(pairs)
                 ]
@@ -272,7 +379,7 @@ class TestCoalescing:
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        RLWEMultiplyPlainOp.of(params, [ct], [plain]),
+                        RLWEMultiplyPlainJob(params, [ct], [plain]),
                         tenant=f"t{i}",
                     )
                     for i, (ct, plain) in enumerate(zip(cts, plains))
@@ -287,7 +394,6 @@ class TestCoalescing:
 
     def test_rlwe_ct_multiply_coalesced_bit_identical(self):
         from repro.fhe.rlwe import default_rns_primes
-        from repro.serve.ops import RLWEMultiplyOp
 
         params = RLWEParams(
             n=64,
@@ -317,7 +423,7 @@ class TestCoalescing:
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        RLWEMultiplyOp.of(params, keys, [pair]),
+                        RLWEMultiplyJob(params, keys, [pair]),
                         tenant=f"t{i}",
                     )
                     for i, pair in enumerate(pairs)
@@ -331,8 +437,6 @@ class TestCoalescing:
             assert np.array_equal(got.c1, want.c1)
 
     def test_rlwe_ct_multiply_different_keysets_do_not_merge(self):
-        from repro.serve.ops import RLWEMultiplyOp
-
         params = RLWEParams(n=64, t=17, noise_bound=4)
         scheme_a = Engine().fhe(params, rng=random.Random(31))
         keys_a = scheme_a.keygen()
@@ -344,11 +448,11 @@ class TestCoalescing:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 f_a = client.submit(
-                    RLWEMultiplyOp.of(params, keys_a, [(ct_a, ct_a)]),
+                    RLWEMultiplyJob(params, keys_a, [(ct_a, ct_a)]),
                     tenant="alice",
                 )
                 f_b = client.submit(
-                    RLWEMultiplyOp.of(params, keys_b, [(ct_b, ct_b)]),
+                    RLWEMultiplyJob(params, keys_b, [(ct_b, ct_b)]),
                     tenant="bob",
                 )
             r_a = f_a.result(timeout=30)
@@ -360,9 +464,9 @@ class TestCoalescing:
         with _service() as service:
             client = ServiceClient(service)
             with service.scheduler.paused():
-                f_small = client.submit(MultiplyOp.of([(3, 5)]))
+                f_small = client.submit(MultiplyJob([(3, 5)]))
                 f_ring = client.submit(
-                    RingTransformOp.of(8, [list(range(8))])
+                    RingTransformJob(8, [list(range(8))])
                 )
             r_small = f_small.result(timeout=30)
             r_ring = f_ring.result(timeout=30)
@@ -374,7 +478,7 @@ class TestCoalescing:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 futures = [
-                    client.submit(MultiplyOp.of([(i, i + 1)]))
+                    client.submit(MultiplyJob([(i, i + 1)]))
                     for i in range(10)
                 ]
             responses = [f.result(timeout=30) for f in futures]
@@ -393,7 +497,7 @@ class TestPriorityAndFairness:
             with service.scheduler.paused():
                 futures = {
                     prio: client.submit(
-                        MultiplyOp.of([(prio + 2, 3)]), priority=prio
+                        MultiplyJob([(prio + 2, 3)]), priority=prio
                     )
                     for prio in (0, 5, 1)
                 }
@@ -452,7 +556,7 @@ class TestPriorityAndFairness:
             def flood():
                 while not stop.is_set():
                     future = service.submit(
-                        MultiplyOp.of([(3, 5)]), tenant="hog"
+                        MultiplyJob([(3, 5)]), tenant="hog"
                     )
                     if future.done():
                         response = future.result()
@@ -499,11 +603,11 @@ class TestBackpressure:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 alice = [
-                    client.submit(MultiplyOp.of([(i, 2)]), tenant="a")
+                    client.submit(MultiplyJob([(i, 2)]), tenant="a")
                     for i in range(5)
                 ]
                 bob = [
-                    client.submit(MultiplyOp.of([(i, 3)]), tenant="b")
+                    client.submit(MultiplyJob([(i, 3)]), tenant="b")
                     for i in range(4)
                 ]
                 # Tenant cap: alice's 4th/5th rejected immediately.
@@ -575,7 +679,7 @@ class TestFaultsAndDeadlines:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 future = client.submit(
-                    MultiplyOp.of([(3, 5)]), timeout=0.05
+                    MultiplyJob([(3, 5)]), timeout=0.05
                 )
                 time.sleep(0.15)
             response = future.result(timeout=30)
@@ -587,7 +691,7 @@ class TestFaultsAndDeadlines:
 
 
 class _SleepJob:
-    kind = "sleep"
+    name = "sleep"
 
     def __init__(self, seconds):
         self.seconds = seconds
@@ -620,7 +724,7 @@ class TestDrainAndShutdown:
         service = _service()
         client = ServiceClient(service)
         futures = [
-            client.submit(MultiplyOp.of([(i + 2, i + 5)]))
+            client.submit(MultiplyJob([(i + 2, i + 5)]))
             for i in range(8)
         ]
         dead = service.shutdown(drain=True, timeout=60)
@@ -635,7 +739,7 @@ class TestDrainAndShutdown:
         client = ServiceClient(service)
         with service.scheduler.paused():
             futures = [
-                client.submit(MultiplyOp.of([(i, 2)])) for i in range(4)
+                client.submit(MultiplyJob([(i, 2)])) for i in range(4)
             ]
             service.shutdown(drain=False, timeout=30)
         statuses = {f.result(timeout=5).status for f in futures}
@@ -785,3 +889,73 @@ class TestTCPService:
             service.shutdown()
         assert response.status == "error"
         assert response.error_type == "ProtocolError"
+
+    def test_oversized_integer_in_request_gets_error_frame(self):
+        """An integer past the int-string digit limit fails the frame's
+        JSON decode: typed error frame, not a silent close."""
+        digits = _int_digit_limit() + 1
+        body = (
+            b'{"type":"submit","id":1,"op":"multiply",'
+            b'"payload":{"pairs":[[' + b"7" * digits + b",3]]}}"
+        )
+
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(struct.pack(">I", len(body)) + body)
+                await writer.drain()
+                return await asyncio.wait_for(read_frame(reader), 30)
+            finally:
+                writer.close()
+
+        message = _run_tcp(client)
+        assert message is not None, "connection closed without a reply"
+        assert message["type"] == "error"
+        assert "not valid JSON" in message["error"]
+
+    def test_result_too_large_to_encode_gets_typed_error(self):
+        """A product past the int-string digit limit cannot be encoded:
+        the request is answered with a typed error, and the connection
+        keeps serving."""
+        operand = 10 ** (_int_digit_limit() // 2 + 1)  # its square is not
+
+        async def client(port):
+            async with await AsyncServiceClient.connect(port=port) as c:
+                failed = await asyncio.wait_for(
+                    c.submit("multiply", {"pairs": [[operand, operand]]}), 30
+                )
+                ok = await asyncio.wait_for(
+                    c.submit("multiply", {"pairs": [[6, 7]]}), 30
+                )
+            return failed, ok
+
+        failed, ok = _run_tcp(client)
+        assert failed.status == STATUS_ERROR
+        assert failed.error_type == "ProtocolError"
+        assert "cannot be encoded" in failed.error
+        assert ok.ok and ok.result == [42]
+
+
+def _int_digit_limit() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string digit limit")
+    return limit
+
+
+def _run_tcp(client):
+    """Run ``await client(port)`` against a fresh TCP service."""
+    service = _service()
+
+    async def scenario():
+        server = await ServiceServer(service, port=0).start()
+        try:
+            return await client(server.port)
+        finally:
+            server.request_stop()
+            await server.serve_until_done()
+
+    try:
+        return asyncio.run(scenario())
+    finally:
+        service.shutdown()
