@@ -5,7 +5,10 @@ DGHV homomorphic AND gates — the workload the accelerator exists for —
 through the Engine façade:
 
 - **direct**: ``scheme.multiply_many`` batching the γ×γ-bit ciphertext
-  products into one SSA pass;
+  products into one SSA pass, also timed in its two parts: the batched
+  products and their Barrett reduction mod ``x_0`` (checked
+  bit-identical to ``%``); the full run includes the paper's
+  786,432-bit point;
 - **jobs**: the same layer through ``JobScheduler.map("dghv-mult",...)``
   (the futures-style service shape);
 - **modeled**: one gate on the ``hw-model`` backend for the cycle
@@ -63,6 +66,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine import Engine  # noqa: E402
+from repro.fhe.ops import _product_batch, _reduce_mod_x0  # noqa: E402
 from repro.fhe.params import MEDIUM, SMALL_DGHV, TOY  # noqa: E402
 from repro.hw.timing import PAPER_TIMING  # noqa: E402
 
@@ -150,22 +154,37 @@ def run_case(
     def jobs():
         return engine.map("dghv-mult", pairs, x0=keys.x0)
 
+    operands = [(a.value, b.value) for a, b in pairs]
+
+    def products():
+        return _product_batch(scheme.multiplier, operands)
+
+    def reduce(values):
+        return [_reduce_mod_x0(v, keys.x0) for v in values]
+
     decrypted_direct = [scheme.decrypt(keys, c) for c in direct()]
     decrypted_jobs = [scheme.decrypt(keys, c) for c in jobs()]
     correct = decrypted_direct == truth and decrypted_jobs == truth
+    unreduced = products()
+    reducer_identical = reduce(unreduced) == [v % keys.x0 for v in unreduced]
 
     direct_s = _best_time(direct, repeats)
     jobs_s = _best_time(jobs, repeats)
+    product_s = _best_time(products, repeats)
+    reduce_s = _best_time(lambda: reduce(unreduced), repeats)
     return {
         "params": params.name,
         "gamma_bits": params.gamma,
         "gates": gates,
         "direct_s": direct_s,
         "jobs_s": jobs_s,
+        "product_s": product_s,
+        "reduce_s": reduce_s,
         "direct_gates_per_s": gates / direct_s,
         "jobs_gates_per_s": gates / jobs_s,
         "jobs_overhead": jobs_s / direct_s,
         "correct": correct,
+        "reducer_identical": reducer_identical,
     }
 
 
@@ -309,12 +328,14 @@ def render_table(report: dict) -> str:
         "FHE workload: DGHV AND-gate layers through the Engine",
         "",
         f"{'params':>10} {'gamma':>7} {'gates':>6} {'direct s':>10} "
+        f"{'product s':>10} {'reduce s':>10} "
         f"{'jobs s':>10} {'direct/s':>9} {'jobs/s':>9} {'ok':>4}",
     ]
     for r in report["results"]:
         lines.append(
             f"{r['params']:>10} {r['gamma_bits']:>7} {r['gates']:>6} "
-            f"{r['direct_s']:>10.4f} {r['jobs_s']:>10.4f} "
+            f"{r['direct_s']:>10.4f} {r['product_s']:>10.4f} "
+            f"{r['reduce_s']:>10.4f} {r['jobs_s']:>10.4f} "
             f"{r['direct_gates_per_s']:>9.1f} "
             f"{r['jobs_gates_per_s']:>9.1f} "
             f"{'yes' if r['correct'] else 'NO':>4}"
@@ -368,6 +389,8 @@ def evaluate(report: dict, smoke: bool) -> List[str]:
         tag = f"params={r['params']} gates={r['gates']}"
         if not r["correct"]:
             failures.append(f"{tag}: homomorphic ANDs decrypted wrong")
+        if not r["reducer_identical"]:
+            failures.append(f"{tag}: Barrett reduction differs from %")
         if r["jobs_overhead"] > ceiling:
             failures.append(
                 f"{tag}: jobs path cost {r['jobs_overhead']:.2f}x direct "
@@ -420,7 +443,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         ordering_cases = [(1024, 4)]
         repeats = repeats or 2
     else:
-        cases = [(TOY, 64), (MEDIUM, 16)]
+        cases = [(TOY, 64), (MEDIUM, 16), (SMALL_DGHV, 4)]
         rlwe_cases = [(4096, 8), (RLWE_ACCEPTANCE_N, 4)]
         ordering_cases = [(4096, 8), (RLWE_ACCEPTANCE_N, 4)]
         repeats = repeats or 3
@@ -443,7 +466,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
     ]
     report = {
         "benchmark": "fhe_workload",
-        "schema_version": 3,
+        "schema_version": 4,
         "mode": "smoke" if smoke else "full",
         "created_unix": time.time(),
         "environment": {

@@ -28,6 +28,7 @@ submission would have produced.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -382,7 +383,10 @@ class DGHVMultJob(Op):
     :meth:`repro.fhe.DGHV.multiply_many`: the γ×γ-bit products run as
     one batched SSA pass through the engine (and therefore through its
     backend — sharded on ``software-mp``, cycle-counted on
-    ``hw-model``), each reduced mod ``x0`` when one is given.
+    ``hw-model``), each reduced mod ``x0`` when one is given.  Every
+    ciphertext value must be a non-negative integer of at most ``gamma``
+    bits and ``x0`` an odd integer ``≥ 3`` of at most ``gamma`` bits;
+    anything else is a :class:`ProtocolError`.
 
     Payload: ``{"params": {"name", "lam", "rho", "eta", "gamma",
     "tau"}, "x0": ..., "pairs": [[[value, noise_bits], [value,
@@ -403,7 +407,28 @@ class DGHVMultJob(Op):
             ):
                 raise ProtocolError("dghv pairs must hold ciphertexts")
         self.params = self.pairs[0][0].params
-        self.x0 = int(x0) if x0 is not None else None
+        gamma = self.params.gamma
+        for pair in self.pairs:
+            for ct in pair:
+                if (
+                    not isinstance(ct.value, int)
+                    or ct.value < 0
+                    or ct.value.bit_length() > gamma
+                ):
+                    raise ProtocolError(
+                        "dghv ciphertext values must be non-negative "
+                        f"integers of at most {gamma} bits"
+                    )
+        if x0 is not None:
+            try:
+                x0 = operator.index(x0)
+            except TypeError:
+                raise ProtocolError("x0 must be an integer") from None
+            if x0 < 3 or x0 % 2 == 0 or x0.bit_length() > gamma:
+                raise ProtocolError(
+                    f"x0 must be an odd integer >= 3 of at most {gamma} bits"
+                )
+        self.x0 = x0
         self.count = len(self.pairs)
 
     def coalesce_key(self) -> Tuple:
@@ -455,10 +480,7 @@ class DGHVMultJob(Op):
             if not isinstance(raw, list) or len(raw) != 2:
                 raise ProtocolError("each pair must be [ct, ct]")
             pairs.append((ciphertext(raw[0]), ciphertext(raw[1])))
-        x0 = payload.get("x0")
-        if x0 is not None and not isinstance(x0, int):
-            raise ProtocolError("x0 must be an integer")
-        return cls(pairs, x0=x0)
+        return cls(pairs, x0=payload.get("x0"))
 
     @classmethod
     def merge(cls, ops: Sequence["DGHVMultJob"]) -> "DGHVMultJob":

@@ -9,7 +9,9 @@ Somewhat-homomorphic encryption of bits (van Dijk et al., EUROCRYPT
   noise-free multiple of ``p`` (the Coron et al. variant the paper
   cites as [33]/[34]), so ciphertexts — including the 2·gamma-bit
   homomorphic products — can be reduced modulo ``x_0`` without
-  affecting the noise; public encryption:
+  affecting the noise (products by Barrett reduction against a
+  constant cached per ``x_0``, see :mod:`repro.fhe.ops`); public
+  encryption:
   ``c = (m + 2r + 2·Σ_{i∈S} x_i) mod x_0``;
 - decryption: ``(c mod p) mod 2`` with ``c mod p`` the *centered*
   residue.

@@ -3,10 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fhe.dghv import DGHV, Ciphertext
-from repro.fhe.ops import NoiseBudgetError
-from repro.fhe.params import TOY
+from repro.fhe.ops import (
+    NoiseBudgetError,
+    _barrett_mu_lo,
+    _barrett_quotient,
+    _reduce_mod_x0,
+)
+from repro.fhe.params import MEDIUM, SMALL_DGHV, TOY
 from repro.ssa.multiplier import SSAMultiplier
 
 
@@ -123,3 +130,89 @@ class TestDeprecationShims:
             w for w in recwarn if w.category is DeprecationWarning
         ]
         assert not deprecations
+
+
+def _odd_modulus(bits):
+    """Odd integers of exactly ``bits`` bits (the shape of ``x_0``)."""
+    return st.integers(0, (1 << (bits - 2)) - 1).map(
+        lambda low: (1 << (bits - 1)) | (low << 1) | 1
+    )
+
+
+@st.composite
+def _modulus_and_value(draw, bits):
+    x0 = draw(_odd_modulus(bits))
+    residue = st.integers(0, x0 - 1)
+    value = draw(
+        st.integers(0, (1 << (2 * bits)) - 1)
+        | st.tuples(residue, residue).map(lambda ab: ab[0] * ab[1])
+    )
+    return x0, value
+
+
+class TestBarrettReduction:
+    """``_reduce_mod_x0`` is bit-identical to ``%`` on every input."""
+
+    @pytest.mark.parametrize("bits", [TOY.gamma, MEDIUM.gamma])
+    def test_matches_modulo(self, bits):
+        @settings(max_examples=40, deadline=None)
+        @given(_modulus_and_value(bits))
+        def check(case):
+            x0, value = case
+            assert _reduce_mod_x0(value, x0) == value % x0
+
+        check()
+
+    @pytest.mark.parametrize("bits", [TOY.gamma, MEDIUM.gamma])
+    def test_at_most_three_corrections(self, bits):
+        @settings(max_examples=40, deadline=None)
+        @given(_modulus_and_value(bits))
+        def check(case):
+            x0, value = case
+            shortfall = value // x0 - _barrett_quotient(value, x0)
+            assert 0 <= shortfall <= 3
+
+        check()
+
+    @pytest.mark.parametrize("x0", [3, 5, 7, (1 << 2047) | 1, (1 << 2048) - 1])
+    def test_edge_values(self, x0):
+        k = x0.bit_length()
+        edges = [0, 1, x0 - 1, x0, x0 + 1, x0 * x0 - 1, (1 << (2 * k)) - 1]
+        for value in edges:
+            assert _reduce_mod_x0(value, x0) == value % x0
+            shortfall = value // x0 - _barrett_quotient(value, x0)
+            assert 0 <= shortfall <= 3
+
+    @pytest.mark.parametrize("x0", [3, (1 << 2047) | 1, (1 << 2048) - 1])
+    def test_wide_values_fall_back_to_modulo(self, x0):
+        k = x0.bit_length()
+        for value in (1 << (2 * k), (1 << (2 * k + 5)) + 12345, x0 ** 3):
+            assert _reduce_mod_x0(value, x0) == value % x0
+
+    def test_negative_inputs_fall_back_to_modulo(self):
+        x0 = (1 << 2047) | 1
+        for value in (-1, -x0, -(x0 * x0) + 7):
+            assert _reduce_mod_x0(value, x0) == value % x0
+        assert _reduce_mod_x0(12345, -x0) == 12345 % -x0
+
+    def test_mu_cache_is_bounded(self):
+        maxsize = _barrett_mu_lo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 64
+        for x0 in range(3, 3 + 4 * maxsize, 2):
+            _reduce_mod_x0(x0 * x0 - 1, x0)
+        assert _barrett_mu_lo.cache_info().currsize <= maxsize
+
+    def test_paper_size_multiply_many_is_exact(self):
+        """Two 786,432-bit ANDs: every reduced product equals
+        ``(a·b) % x0`` and decrypts to the plaintext AND."""
+        scheme = DGHV(SMALL_DGHV, rng=random.Random(13))
+        keys = scheme.generate_keys()
+        plain = [(1, 1), (0, 1)]
+        pairs = [
+            (scheme.encrypt(keys, a), scheme.encrypt(keys, b))
+            for a, b in plain
+        ]
+        ands = scheme.multiply_many(keys, pairs)
+        for (ca, cb), c in zip(pairs, ands):
+            assert c.value == (ca.value * cb.value) % keys.x0
+        assert scheme.decrypt_many(keys, ands) == [a & b for a, b in plain]

@@ -19,7 +19,9 @@ from repro.engine import (
     available_backends,
 )
 from repro.engine.backends import SoftwareMPBackend
+from repro.engine.ops import ProtocolError
 from repro.field.solinas import P
+from repro.fhe.dghv import Ciphertext
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.jobs import (
@@ -390,6 +392,25 @@ class TestFHEJobs:
             mapped = jobs.map("dghv-mult", pairs, chunk=2, x0=keys.x0)
         assert [scheme.decrypt(keys, c) for c in ands] == [0, 0, 0, 1]
         assert [scheme.decrypt(keys, c) for c in mapped] == [0, 0, 0, 1]
+
+    def test_dghv_job_rejects_bad_input(self):
+        """Zero or negative ``x0`` and negative or oversize values are
+        typed errors at construction, before any product runs."""
+        scheme = Engine().fhe(TOY, rng=random.Random(19))
+        keys = scheme.generate_keys()
+        ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 0)
+        for x0 in (0, -keys.x0, keys.x0 + 1, keys.x0 << 1, 1, "7"):
+            with pytest.raises(ProtocolError, match="x0 must be"):
+                DGHVMultJob(pairs=[(ca, cb)], x0=x0)
+        for value in (-ca.value, 1 << TOY.gamma):
+            bad = Ciphertext(value, ca.noise_bits, TOY)
+            with pytest.raises(ProtocolError, match="ciphertext values"):
+                DGHVMultJob(pairs=[(bad, cb)], x0=keys.x0)
+        with JobScheduler(Engine()) as jobs:
+            with pytest.raises(ProtocolError):
+                jobs.map("dghv-mult", [(ca, cb)], x0=0)
+            (good,) = jobs.map("dghv-mult", [(ca, cb)], x0=keys.x0)
+        assert scheme.decrypt(keys, good) == 0
 
     def test_rlwe_multiply_plain_job_matches_scheme(self):
         params = RLWEParams(n=64, t=64, noise_bound=4)

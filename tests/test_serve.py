@@ -114,6 +114,43 @@ class TestProtocol:
 # -- op vocabulary ---------------------------------------------------------
 
 
+_TOY_WIRE_PARAMS = {
+    "name": TOY.name,
+    "lam": TOY.lam,
+    "rho": TOY.rho,
+    "eta": TOY.eta,
+    "gamma": TOY.gamma,
+    "tau": TOY.tau,
+}
+
+#: Malformed ``dghv-mult`` inputs, each with the error it must raise.
+_BAD_DGHV_INPUTS = {
+    "x0-zero": "x0 must be an odd integer",
+    "x0-negative": "x0 must be an odd integer",
+    "value-negative": "non-negative",
+    "value-oversize": "at most 2048 bits",
+}
+
+
+def _bad_dghv_payload(field):
+    """A TOY ``dghv-mult`` payload broken in one ``field``."""
+    x0 = (1 << (TOY.gamma - 1)) | 5
+    value = 12345
+    if field == "x0-zero":
+        x0 = 0
+    elif field == "x0-negative":
+        x0 = -x0
+    elif field == "value-negative":
+        value = -value
+    elif field == "value-oversize":
+        value = 1 << TOY.gamma
+    return {
+        "params": _TOY_WIRE_PARAMS,
+        "x0": x0,
+        "pairs": [[[value, 9.0], [7, 9.0]]],
+    }
+
+
 class TestOps:
     def test_unknown_op_rejected(self):
         with pytest.raises(ProtocolError, match="unknown op"):
@@ -149,22 +186,21 @@ class TestOps:
         assert ConvolveJob(8, a, a).coalescible
 
     def test_dghv_noise_bits_must_be_numeric(self):
-        params = {
-            "name": "toy",
-            "lam": 8,
-            "rho": 8,
-            "eta": 96,
-            "gamma": 2048,
-            "tau": 8,
-        }
         with pytest.raises(ProtocolError, match="noise_bits"):
             decode_op(
                 "dghv-mult",
                 {
-                    "params": params,
+                    "params": _TOY_WIRE_PARAMS,
                     "pairs": [[[5, "loud"], [7, 1.0]]],
                 },
             )
+
+
+    @pytest.mark.parametrize("field", sorted(_BAD_DGHV_INPUTS))
+    def test_dghv_bad_input_is_protocol_error(self, field):
+        payload = _bad_dghv_payload(field)
+        with pytest.raises(ProtocolError, match=_BAD_DGHV_INPUTS[field]):
+            decode_op("dghv-mult", payload)
 
 
 # -- in-process service basics ---------------------------------------------
@@ -933,6 +969,33 @@ class TestTCPService:
         assert failed.status == STATUS_ERROR
         assert failed.error_type == "ProtocolError"
         assert "cannot be encoded" in failed.error
+        assert ok.ok and ok.result == [42]
+
+
+    def test_bad_dghv_input_gets_typed_error_and_keeps_serving(self):
+        """Each malformed ``dghv-mult`` input (zero or negative ``x0``,
+        negative or oversize value) is answered with a typed error on
+        the same connection, which then serves a good request."""
+        fields = sorted(_BAD_DGHV_INPUTS)
+
+        async def client(port):
+            async with await AsyncServiceClient.connect(port=port) as c:
+                failed = [
+                    await asyncio.wait_for(
+                        c.submit("dghv-mult", _bad_dghv_payload(field)), 30
+                    )
+                    for field in fields
+                ]
+                ok = await asyncio.wait_for(
+                    c.submit("multiply", {"pairs": [[6, 7]]}), 30
+                )
+            return failed, ok
+
+        failed, ok = _run_tcp(client)
+        for field, response in zip(fields, failed):
+            assert response.status == STATUS_ERROR, field
+            assert response.error_type == "ProtocolError", field
+            assert _BAD_DGHV_INPUTS[field] in response.error, field
         assert ok.ok and ok.result == [42]
 
 
