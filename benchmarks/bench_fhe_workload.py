@@ -13,14 +13,11 @@ through the Engine façade:
   (the futures-style service shape);
 - **modeled**: one gate on the ``hw-model`` backend for the cycle
   count, next to the paper's 122.88 µs Table II anchor;
-- **rlwe**: batched ``multiply_plain_many`` ring products on the
-  *fused* negacyclic plan vs the explicit-twist unfused path —
-  bit-identity is checked on every measurement, and the full run
-  gates the paper 64K plan at ≥ 1.15× (ISSUE 5 acceptance);
-- **ordering**: the same ring products on the permutation-free
-  (decimated DIF/DIT) fused plan vs the natural-order fused plan —
-  bit-identity strict, ≥1× floor with a timer-jitter allowance
-  (ISSUE 6).
+- **rlwe**: batched ``multiply_plain_many`` ring products on an
+  engine-bound scheme (fused, permutation-free plans) — checked
+  bit-identical to the same products through a ``loop``-kernel
+  engine on every measurement; the full run includes the paper 64K
+  ring dimension.
 
 Every gate is decrypted and checked against the plaintext AND truth.
 Results go to two places:
@@ -78,20 +75,6 @@ OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 #: a small constant factor of calling ``multiply_many`` directly.
 FULL_MAX_JOBS_OVERHEAD = 2.0
 SMOKE_MAX_JOBS_OVERHEAD = 5.0
-#: Fused negacyclic plans must beat the explicit-twist route by this
-#: factor on the paper 64K plan (ISSUE 5 acceptance; full runs only —
-#: smoke checks bit-identity without a timing gate).
-RLWE_FUSED_SPEEDUP_FLOOR = 1.15
-RLWE_ACCEPTANCE_N = 65536
-#: Permutation-free vs permuted RLWE ring products (ISSUE 6): the
-#: decimated pair strictly drops the digit-reversal gathers, but on a
-#: fused plan that is the *only* saving (~1% of a limb-matmul
-#: convolution — ψ-untwist and n⁻¹ are already stage constants), so
-#: the ≥1× floor carries a timer-jitter allowance: bit-identity is
-#: strict, and a real regression still trips the gate while sub-noise
-#: effects cannot flake CI.
-RLWE_ORDERING_FLOOR = 1.0
-RLWE_ORDERING_JITTER = 0.05
 #: Resilience mode (ISSUE 7): recovering from one worker SIGKILL must
 #: cost at most this fraction over the clean run on the smoke workload
 #: (CI gate).  Recovery replays the lost shards on a respawned pool
@@ -119,19 +102,6 @@ def _best_time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _interleaved_best(fn_a, fn_b, repeats: int):
-    """Best-of timing with A/B samples interleaved (noise-robust)."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
 
 
 def run_case(
@@ -189,116 +159,43 @@ def run_case(
 
 
 def rlwe_case(n: int, batch: int, repeats: int, seed: int) -> dict:
-    """Fused vs unfused ``multiply_plain_many`` at one ring dimension.
+    """Engine-bound ``multiply_plain_many`` at one ring dimension.
 
-    Two RLWE contexts share the same parameters and ciphertexts; one is
-    pinned to the fused negacyclic plan, the other to the explicit-twist
-    cyclic plan.  Outputs must be bit-identical; the timing ratio is the
-    fused-negacyclic speedup on the RLWE hot path.
+    The scheme runs the production route (fused, permutation-free
+    plans on the default kernel); the same ciphertexts through a
+    ``loop``-kernel engine are the bit-identity oracle.
     """
-    from repro.fhe.rlwe import RLWE, RLWEParams
-    from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
+    from repro.engine import ExecutionConfig
+    from repro.fhe.rlwe import RLWEParams
 
     params = RLWEParams(n=n, t=256, noise_bound=4)
-    fused_scheme = RLWE(
-        params,
-        rng=random.Random(seed),
-        plan=plan_for_size(n, twist=TWIST_NEGACYCLIC),
-    )
-    unfused_scheme = RLWE(
-        params, rng=random.Random(seed), plan=plan_for_size(n)
-    )
+    scheme = Engine().fhe(params, rng=random.Random(seed))
+    oracle = Engine(config=ExecutionConfig(kernel="loop")).fhe(params)
     rng = random.Random(seed + 1)
-    secret = fused_scheme.generate_secret()
+    secret = scheme.generate_secret()
     messages = [
         [rng.randrange(params.t) for _ in range(n)] for _ in range(batch)
     ]
     plains = [
         [rng.randrange(params.t) for _ in range(n)] for _ in range(batch)
     ]
-    cts = fused_scheme.encrypt_many(secret, messages)
+    cts = scheme.encrypt_many(secret, messages)
 
-    fused_out = fused_scheme.multiply_plain_many(cts, plains)
-    unfused_out = unfused_scheme.multiply_plain_many(cts, plains)
     identical = all(
-        np.array_equal(f.c0, u.c0) and np.array_equal(f.c1, u.c1)
-        for f, u in zip(fused_out, unfused_out)
+        np.array_equal(got.c0, want.c0) and np.array_equal(got.c1, want.c1)
+        for got, want in zip(
+            scheme.multiply_plain_many(cts, plains),
+            oracle.multiply_plain_many(cts, plains),
+        )
     )
-
-    fused_s = _best_time(
-        lambda: fused_scheme.multiply_plain_many(cts, plains), repeats
-    )
-    unfused_s = _best_time(
-        lambda: unfused_scheme.multiply_plain_many(cts, plains), repeats
+    products_s = _best_time(
+        lambda: scheme.multiply_plain_many(cts, plains), repeats
     )
     return {
         "n": n,
         "batch": batch,
-        "unfused_s": unfused_s,
-        "fused_s": fused_s,
-        "fused_speedup": unfused_s / fused_s,
-        "fused_products_per_s": 2 * batch / fused_s,
-        "identical": identical,
-    }
-
-
-def ordering_rlwe_case(n: int, batch: int, repeats: int, seed: int) -> dict:
-    """Permutation-free vs permuted RLWE ``multiply_plain_many``.
-
-    Both schemes run ψ-fused plans; one keeps natural-order spectra
-    (paying digit-reversal gathers around the pointwise product), the
-    other runs the decimated DIF/DIT pair — the plan flavor
-    ``Engine.fhe`` now binds by default.  Ciphertext outputs must be
-    bit-identical; the timing ratio is the permutation-free speedup.
-    """
-    from repro.fhe.rlwe import RLWE, RLWEParams
-    from repro.ntt.plan import (
-        ORDER_DECIMATED,
-        TWIST_NEGACYCLIC,
-        plan_for_size,
-    )
-
-    params = RLWEParams(n=n, t=256, noise_bound=4)
-    permuted_scheme = RLWE(
-        params,
-        rng=random.Random(seed),
-        plan=plan_for_size(n, twist=TWIST_NEGACYCLIC),
-    )
-    free_scheme = RLWE(
-        params,
-        rng=random.Random(seed),
-        plan=plan_for_size(
-            n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
-        ),
-    )
-    rng = random.Random(seed + 1)
-    secret = permuted_scheme.generate_secret()
-    messages = [
-        [rng.randrange(params.t) for _ in range(n)] for _ in range(batch)
-    ]
-    plains = [
-        [rng.randrange(params.t) for _ in range(n)] for _ in range(batch)
-    ]
-    cts = permuted_scheme.encrypt_many(secret, messages)
-
-    permuted_out = permuted_scheme.multiply_plain_many(cts, plains)
-    free_out = free_scheme.multiply_plain_many(cts, plains)
-    identical = all(
-        np.array_equal(f.c0, u.c0) and np.array_equal(f.c1, u.c1)
-        for f, u in zip(free_out, permuted_out)
-    )
-
-    permuted_s, free_s = _interleaved_best(
-        lambda: permuted_scheme.multiply_plain_many(cts, plains),
-        lambda: free_scheme.multiply_plain_many(cts, plains),
-        repeats,
-    )
-    return {
-        "n": n,
-        "batch": batch,
-        "permuted_s": permuted_s,
-        "permutation_free_s": free_s,
-        "speedup": permuted_s / free_s,
+        "products_s": products_s,
+        "products_per_s": 2 * batch / products_s,
         "identical": identical,
     }
 
@@ -342,28 +239,15 @@ def render_table(report: dict) -> str:
         )
     lines += [
         "",
-        "RLWE multiply_plain_many: fused negacyclic plan vs explicit twist",
+        "RLWE multiply_plain_many: engine-bound scheme vs loop-kernel oracle",
         "",
-        f"{'n':>7} {'batch':>6} {'unfused s':>10} {'fused s':>10} "
-        f"{'speedup':>8} {'ident':>6}",
+        f"{'n':>7} {'batch':>6} {'products s':>11} {'products/s':>11} "
+        f"{'ident':>6}",
     ]
     for r in report["rlwe"]:
         lines.append(
-            f"{r['n']:>7} {r['batch']:>6} {r['unfused_s']:>10.4f} "
-            f"{r['fused_s']:>10.4f} {r['fused_speedup']:>7.2f}x "
-            f"{'yes' if r['identical'] else 'NO':>6}"
-        )
-    lines += [
-        "",
-        "RLWE orderings: permutation-free DIF/DIT pair vs permuted (fused)",
-        "",
-        f"{'n':>7} {'batch':>6} {'permuted s':>11} {'perm-free s':>12} "
-        f"{'speedup':>8} {'ident':>6}",
-    ]
-    for r in report["ordering"]:
-        lines.append(
-            f"{r['n']:>7} {r['batch']:>6} {r['permuted_s']:>11.4f} "
-            f"{r['permutation_free_s']:>12.4f} {r['speedup']:>7.2f}x "
+            f"{r['n']:>7} {r['batch']:>6} {r['products_s']:>11.4f} "
+            f"{r['products_per_s']:>11.1f} "
             f"{'yes' if r['identical'] else 'NO':>6}"
         )
     model = report["modeled"]
@@ -401,36 +285,10 @@ def evaluate(report: dict, smoke: bool) -> List[str]:
     if abs(report["modeled"]["paper_gate_us"] - 122.88) > 0.01:
         failures.append("paper timing anchor drifted from 122.88 us")
     for r in report["rlwe"]:
-        tag = f"rlwe n={r['n']} batch={r['batch']}"
         if not r["identical"]:
             failures.append(
-                f"{tag}: fused multiply_plain_many diverged from the "
-                f"explicit-twist path"
-            )
-        if not smoke and r["n"] == RLWE_ACCEPTANCE_N:
-            if r["fused_speedup"] < RLWE_FUSED_SPEEDUP_FLOOR:
-                failures.append(
-                    f"{tag}: fused speedup {r['fused_speedup']:.2f}x "
-                    f"< {RLWE_FUSED_SPEEDUP_FLOOR}x acceptance floor"
-                )
-    if not smoke and not any(
-        r["n"] == RLWE_ACCEPTANCE_N for r in report["rlwe"]
-    ):
-        failures.append(
-            f"no {RLWE_ACCEPTANCE_N}-point rlwe measurement present"
-        )
-    ordering_floor = RLWE_ORDERING_FLOOR - RLWE_ORDERING_JITTER
-    for r in report["ordering"]:
-        tag = f"ordering n={r['n']} batch={r['batch']}"
-        if not r["identical"]:
-            failures.append(
-                f"{tag}: permutation-free multiply_plain_many diverged "
-                f"from the natural-order path"
-            )
-        if r["speedup"] < ordering_floor:
-            failures.append(
-                f"{tag}: permutation-free pipeline regressed to "
-                f"{r['speedup']:.2f}x (< {ordering_floor:.2f}x permuted)"
+                f"rlwe n={r['n']} batch={r['batch']}: multiply_plain_many "
+                f"diverged from the loop-kernel oracle"
             )
     return failures
 
@@ -440,12 +298,10 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
     if smoke:
         cases = [(TOY, 8)]
         rlwe_cases = [(1024, 4)]
-        ordering_cases = [(1024, 4)]
         repeats = repeats or 2
     else:
         cases = [(TOY, 64), (MEDIUM, 16), (SMALL_DGHV, 4)]
-        rlwe_cases = [(4096, 8), (RLWE_ACCEPTANCE_N, 4)]
-        ordering_cases = [(4096, 8), (RLWE_ACCEPTANCE_N, 4)]
+        rlwe_cases = [(4096, 8), (65536, 4)]
         repeats = repeats or 3
     try:
         results = [
@@ -458,15 +314,9 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         rlwe_case(n, batch, repeats, seed + 50 + i)
         for i, (n, batch) in enumerate(rlwe_cases)
     ]
-    # Gather-only margin: interleaved best-of-5-or-more keeps the
-    # permutation-free ratio honest on a noisy machine.
-    ordering_results = [
-        ordering_rlwe_case(n, batch, max(repeats, 5), seed + 70 + i)
-        for i, (n, batch) in enumerate(ordering_cases)
-    ]
     report = {
         "benchmark": "fhe_workload",
-        "schema_version": 4,
+        "schema_version": 5,
         "mode": "smoke" if smoke else "full",
         "created_unix": time.time(),
         "environment": {
@@ -483,7 +333,6 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         },
         "results": results,
         "rlwe": rlwe_results,
-        "ordering": ordering_results,
         "modeled": modeled_gate(),
     }
     failures = evaluate(report, smoke)
@@ -491,11 +340,6 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         "max_jobs_overhead": (
             SMOKE_MAX_JOBS_OVERHEAD if smoke else FULL_MAX_JOBS_OVERHEAD
         ),
-        "rlwe_fused_speedup_floor": (
-            None if smoke else RLWE_FUSED_SPEEDUP_FLOOR
-        ),
-        "rlwe_ordering_floor": RLWE_ORDERING_FLOOR,
-        "rlwe_ordering_jitter": RLWE_ORDERING_JITTER,
         "failures": failures,
         "passed": not failures,
     }

@@ -3,15 +3,10 @@
 Standalone benchmark (also importable under pytest) comparing the two
 stage-DFT backends of :mod:`repro.ntt.kernels` on the forward NTT at
 several batch sizes, cross-checking bit-exactness on every
-measurement, plus the fused-negacyclic gate: the ψ-fused plans must be
-bit-identical to the explicit-twist ``loop``-kernel oracle and at
-least as fast as the unfused limb-matmul route on a full
-forward+pointwise+inverse ring product.  The permutation-free gate
-(ISSUE 6) additionally pits the decimated DIF/DIT convolution
-pipeline against the permuted (natural-order) one: bit-identical to
-the loop oracle, never slower, and on full runs the best batched
-64K-point case must clear the acceptance speedup.  Results go to two
-places:
+measurement, plus the convolution gate: the production cyclic and
+ψ-fused negacyclic convolutions (limb-matmul kernel, permutation-free
+DIF/DIT pair) must be bit-identical to the natural-order ``loop``-kernel
+oracle, and their throughput is recorded.  Results go to two places:
 
 - ``BENCH_ntt_kernels.json`` at the repo root — the machine-readable
   perf-trajectory point (first of its series);
@@ -23,12 +18,10 @@ Usage::
     python benchmarks/bench_ntt_kernels.py --smoke    # CI: 4K points
 
 Exit status is non-zero if the limb-matmul backend loses bit-exactness
-anywhere, regresses below 1× the loop backend, the fused negacyclic
-path loses bit-identity / drops below 1× the unfused path, or the
-permutation-free pipeline loses bit-identity / regresses below its
-floor; the full run additionally enforces the ≥3× acceptance threshold
-on the single-shot (batch = 1) 64K-point transform and the ≥1.05×
-ordering acceptance on the best batched 64K convolution.
+anywhere or regresses below 1× the loop backend, or a production
+convolution loses bit-identity; the full run additionally enforces the
+≥3× acceptance threshold on the single-shot (batch = 1) 64K-point
+transform.
 """
 
 from __future__ import annotations
@@ -72,23 +65,6 @@ OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 MIN_SPEEDUP = 1.0
 ACCEPTANCE_SPEEDUP = 3.0
 ACCEPTANCE_N = 65536
-#: The fused negacyclic route strictly removes vector passes, so it
-#: must never lose to the explicit-twist route (ISSUE 5).
-MIN_NEGACYCLIC_SPEEDUP = 1.0
-#: The permutation-free (decimated DIF/DIT) convolution pipeline also
-#: strictly removes passes — the digit-reversal gathers, plus the
-#: trailing ``n^{-1}`` scale on unfused plans — so it must never lose
-#: to the permuted pipeline (ISSUE 6).  The floor is strict where the
-#: removed work is a few percent of the pipeline (unfused cyclic:
-#: gathers + scale pass); flavors whose only saving is the gathers
-#: (~1% of a limb-matmul convolution — fused plans already fold the
-#: scale) get a timer-jitter allowance so a sub-noise-floor effect
-#: cannot flake CI, while real regressions still trip the gate.
-MIN_ORDERING_SPEEDUP = 1.0
-ORDERING_JITTER = 0.05
-#: Full runs gate the headline ISSUE 6 number: the best batched
-#: 64K-point permutation-free convolution must clear this.
-ORDERING_ACCEPTANCE_SPEEDUP = 1.05
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -98,24 +74,6 @@ def _best_time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _interleaved_best(fn_a, fn_b, repeats: int):
-    """Best-of timing with A/B samples interleaved.
-
-    Alternating the two pipelines makes both sample the same slow/fast
-    phases of a noisy machine, so the best-vs-best ratio reflects the
-    work difference instead of which side drew the quieter window.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
 
 
 def run_case(n: int, radices, batch: int, repeats: int, seed: int) -> dict:
@@ -144,66 +102,15 @@ def run_case(n: int, radices, batch: int, repeats: int, seed: int) -> dict:
     }
 
 
-def run_negacyclic_case(
-    n: int, radices, batch: int, repeats: int, seed: int
-) -> dict:
-    """Fused vs explicit-twist negacyclic ring product at one point.
-
-    Exactness: the fused plans (both kernels) must reproduce the
-    explicit-twist ``loop``-kernel oracle bit for bit.  Speed: the
-    fused limb-matmul route is timed against the unfused limb-matmul
-    route on a full ``negacyclic_convolution_many`` (forward +
-    pointwise + inverse), the RLWE ring-product shape.
-    """
-    oracle_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-    unfused_plan = plan_for_size(n, radices, kernel=KERNEL_LIMB_MATMUL)
-    fused_plan = plan_for_size(
-        n, radices, kernel=KERNEL_LIMB_MATMUL, twist=TWIST_NEGACYCLIC
-    )
-    fused_loop_plan = plan_for_size(
-        n, radices, kernel=KERNEL_LOOP, twist=TWIST_NEGACYCLIC
-    )
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
-    b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
-
-    oracle = negacyclic_convolution_many(a, b, oracle_plan)
-    fused_out = negacyclic_convolution_many(a, b, fused_plan)
-    fused_loop_out = negacyclic_convolution_many(a, b, fused_loop_plan)
-    unfused_out = negacyclic_convolution_many(a, b, unfused_plan)
-    bit_exact = bool(
-        np.array_equal(oracle, fused_out)
-        and np.array_equal(oracle, fused_loop_out)
-        and np.array_equal(oracle, unfused_out)
-    )
-
-    unfused_s, fused_s = _interleaved_best(
-        lambda: negacyclic_convolution_many(a, b, unfused_plan),
-        lambda: negacyclic_convolution_many(a, b, fused_plan),
-        repeats,
-    )
-    return {
-        "n": n,
-        "radices": list(radices),
-        "batch": batch,
-        "unfused_s": unfused_s,
-        "fused_s": fused_s,
-        "speedup": unfused_s / fused_s,
-        "fused_products_per_s": batch / fused_s,
-        "bit_exact": bit_exact,
-    }
-
-
-def run_ordering_case(
+def run_convolution_case(
     flavor: str, n: int, radices, batch: int, repeats: int, seed: int
 ) -> dict:
-    """Permutation-free vs permuted convolution pipeline at one point.
+    """Time the production convolution of one flavor; verify exactness.
 
-    ``flavor`` is ``"cyclic"`` (unfused plans: the decimated pair skips
-    three digit-reversal gathers *and* the trailing ``n^{-1}`` scale
-    pass) or ``"negacyclic"`` (ψ-fused plans: only the gathers remain
-    to skip).  Both pipelines run the limb-matmul kernel; bit-exactness
-    is checked against the natural-order ``loop``-kernel oracle.
+    ``flavor`` is ``"cyclic"`` (untwisted plans) or ``"negacyclic"``
+    (ψ-fused plans, the RLWE ring product).  The production route is
+    the limb-matmul permutation-free DIF/DIT pair; the oracle is the
+    natural-order ``loop``-kernel plan of the same flavor.
     """
     twist = TWIST_NEGACYCLIC if flavor == "negacyclic" else ""
     conv = (
@@ -211,11 +118,8 @@ def run_ordering_case(
         if flavor == "negacyclic"
         else cyclic_convolution_many
     )
-    oracle_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-    permuted_plan = plan_for_size(
-        n, radices, kernel=KERNEL_LIMB_MATMUL, twist=twist
-    )
-    free_plan = plan_for_size(
+    oracle_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP, twist=twist)
+    plan = plan_for_size(
         n,
         radices,
         kernel=KERNEL_LIMB_MATMUL,
@@ -226,32 +130,18 @@ def run_ordering_case(
     a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
     b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
 
-    oracle = conv(a, b, oracle_plan)
-    permuted_out = conv(a, b, permuted_plan)  # warm + reference
-    free_out = conv(a, b, free_plan)
     bit_exact = bool(
-        np.array_equal(oracle, permuted_out)
-        and np.array_equal(oracle, free_out)
+        np.array_equal(conv(a, b, oracle_plan), conv(a, b, plan))
     )
-
-    permuted_s, free_s = _interleaved_best(
-        lambda: conv(a, b, permuted_plan),
-        lambda: conv(a, b, free_plan),
-        repeats,
-    )
+    conv_s = _best_time(lambda: conv(a, b, plan), repeats)
     return {
         "flavor": flavor,
         "n": n,
         "radices": list(radices),
         "batch": batch,
-        "permuted_s": permuted_s,
-        "permutation_free_s": free_s,
-        "speedup": permuted_s / free_s,
-        "permutation_free_products_per_s": batch / free_s,
+        "convolution_s": conv_s,
+        "products_per_s": batch / conv_s,
         "bit_exact": bit_exact,
-        # Strict floor only where the skipped work is above the timer
-        # noise floor; gather-only flavors get the jitter allowance.
-        "strict_floor": flavor == "cyclic",
     }
 
 
@@ -271,36 +161,18 @@ def render_table(results: List[dict]) -> str:
     return "\n".join(lines)
 
 
-def render_negacyclic_table(results: List[dict]) -> str:
+def render_convolution_table(results: List[dict]) -> str:
     lines = [
         "",
-        "fused negacyclic ring products: psi-fused plans vs explicit twist",
+        "production convolutions: limb-matmul permutation-free pair",
         "",
-        f"{'n':>7} {'batch':>6} {'unfused s':>10} {'fused s':>10} "
-        f"{'speedup':>8} {'exact':>6}",
-    ]
-    for r in results:
-        lines.append(
-            f"{r['n']:>7} {r['batch']:>6} {r['unfused_s']:>10.4f} "
-            f"{r['fused_s']:>10.4f} {r['speedup']:>7.2f}x "
-            f"{'yes' if r['bit_exact'] else 'NO':>6}"
-        )
-    return "\n".join(lines)
-
-
-def render_ordering_table(results: List[dict]) -> str:
-    lines = [
-        "",
-        "permutation-free convolutions: decimated DIF/DIT pair vs permuted",
-        "",
-        f"{'flavor':>10} {'n':>7} {'batch':>6} {'permuted s':>11} "
-        f"{'perm-free s':>12} {'speedup':>8} {'exact':>6}",
+        f"{'flavor':>10} {'n':>7} {'batch':>6} {'conv s':>10} "
+        f"{'products/s':>11} {'exact':>6}",
     ]
     for r in results:
         lines.append(
             f"{r['flavor']:>10} {r['n']:>7} {r['batch']:>6} "
-            f"{r['permuted_s']:>11.4f} {r['permutation_free_s']:>12.4f} "
-            f"{r['speedup']:>7.2f}x "
+            f"{r['convolution_s']:>10.4f} {r['products_per_s']:>11.2f} "
             f"{'yes' if r['bit_exact'] else 'NO':>6}"
         )
     return "\n".join(lines)
@@ -309,8 +181,7 @@ def render_ordering_table(results: List[dict]) -> str:
 def evaluate(
     results: List[dict],
     smoke: bool,
-    negacyclic: Optional[List[dict]] = None,
-    ordering: Optional[List[dict]] = None,
+    convolution: Optional[List[dict]] = None,
 ) -> List[str]:
     """Gate failures (empty list == pass)."""
     failures = []
@@ -323,53 +194,11 @@ def evaluate(
                 f"{tag}: limb-matmul regressed to "
                 f"{r['speedup']:.2f}x (< {MIN_SPEEDUP}x loop)"
             )
-    for r in negacyclic or []:
-        tag = f"negacyclic n={r['n']} batch={r['batch']}"
+    for r in convolution or []:
         if not r["bit_exact"]:
             failures.append(
-                f"{tag}: fused output diverged from the explicit-twist "
-                f"loop oracle"
-            )
-        if r["speedup"] < MIN_NEGACYCLIC_SPEEDUP:
-            failures.append(
-                f"{tag}: fused route regressed to {r['speedup']:.2f}x "
-                f"(< {MIN_NEGACYCLIC_SPEEDUP}x the unfused path)"
-            )
-    for r in ordering or []:
-        tag = f"ordering {r['flavor']} n={r['n']} batch={r['batch']}"
-        if not r["bit_exact"]:
-            failures.append(
-                f"{tag}: permutation-free output diverged from the "
-                f"natural-order loop oracle"
-            )
-        floor = MIN_ORDERING_SPEEDUP - (
-            0.0 if r["strict_floor"] else ORDERING_JITTER
-        )
-        if r["speedup"] < floor:
-            failures.append(
-                f"{tag}: permutation-free pipeline regressed to "
-                f"{r['speedup']:.2f}x (< {floor:.2f}x the permuted path)"
-            )
-    if not smoke and ordering:
-        batched = [
-            r
-            for r in ordering
-            if r["n"] == ACCEPTANCE_N and r["batch"] > 1
-        ]
-        if not batched:
-            failures.append(
-                f"no batched {ACCEPTANCE_N}-point ordering measurement "
-                f"present"
-            )
-        elif (
-            max(r["speedup"] for r in batched)
-            < ORDERING_ACCEPTANCE_SPEEDUP
-        ):
-            failures.append(
-                f"best batched {ACCEPTANCE_N}-point permutation-free "
-                f"speedup "
-                f"{max(r['speedup'] for r in batched):.2f}x "
-                f"< {ORDERING_ACCEPTANCE_SPEEDUP}x acceptance threshold"
+                f"{r['flavor']} convolution n={r['n']} batch={r['batch']}: "
+                f"output diverged from the natural-order loop oracle"
             )
     if not smoke:
         single = [
@@ -393,21 +222,17 @@ def evaluate(
 def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
     if smoke:
         cases = [(4096, (64, 64), b) for b in (1, 8)]
-        negacyclic_cases = [(4096, (64, 64), 4)]
-        ordering_cases = [
+        convolution_cases = [
             ("cyclic", 4096, (64, 64), 4),
             ("negacyclic", 4096, (64, 64), 4),
         ]
         repeats = repeats or 2
     else:
         cases = [(65536, (64, 64, 16), b) for b in (1, 8, 32)]
-        negacyclic_cases = [
-            (65536, (64, 64, 16), 1),
-            (65536, (64, 64, 16), 4),
-        ]
-        ordering_cases = [
+        convolution_cases = [
             ("cyclic", 65536, (64, 64, 16), 4),
             ("cyclic", 65536, (64, 64, 16), 8),
+            ("negacyclic", 65536, (64, 64, 16), 1),
             ("negacyclic", 65536, (64, 64, 16), 4),
         ]
         repeats = repeats or 3
@@ -415,28 +240,16 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         run_case(n, radices, batch, repeats, seed + i)
         for i, (n, radices, batch) in enumerate(cases)
     ]
-    # The fused-vs-unfused margin is a handful of vector passes, so
-    # the negacyclic gate takes extra repeats: best-of-N timing keeps
-    # scheduler noise from swamping a strictly-less-work comparison.
-    negacyclic_results = [
-        run_negacyclic_case(
-            n, radices, batch, max(repeats, 5), seed + 100 + i
+    convolution_results = [
+        run_convolution_case(
+            flavor, n, radices, batch, repeats, seed + 200 + i
         )
-        for i, (n, radices, batch) in enumerate(negacyclic_cases)
+        for i, (flavor, n, radices, batch) in enumerate(convolution_cases)
     ]
-    # Same reasoning for the ordering gate: its margin is a few skipped
-    # vector passes, so interleaved best-of-5-or-more keeps the ratio
-    # honest on a noisy machine.
-    ordering_results = [
-        run_ordering_case(
-            flavor, n, radices, batch, max(repeats, 5), seed + 200 + i
-        )
-        for i, (flavor, n, radices, batch) in enumerate(ordering_cases)
-    ]
-    failures = evaluate(results, smoke, negacyclic_results, ordering_results)
+    failures = evaluate(results, smoke, convolution_results)
     return {
         "benchmark": "ntt_kernels",
-        "schema_version": 3,
+        "schema_version": 4,
         "mode": "smoke" if smoke else "full",
         "created_unix": time.time(),
         "environment": {
@@ -450,18 +263,11 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
             "timer": "best-of-repeats wall clock",
         },
         "results": results,
-        "negacyclic": negacyclic_results,
-        "ordering": ordering_results,
+        "convolution": convolution_results,
         "acceptance": {
             "min_speedup": MIN_SPEEDUP,
-            "min_negacyclic_speedup": MIN_NEGACYCLIC_SPEEDUP,
-            "min_ordering_speedup": MIN_ORDERING_SPEEDUP,
-            "ordering_jitter": ORDERING_JITTER,
             "single_shot_threshold": (
                 None if smoke else ACCEPTANCE_SPEEDUP
-            ),
-            "ordering_threshold": (
-                None if smoke else ORDERING_ACCEPTANCE_SPEEDUP
             ),
             "failures": failures,
             "passed": not failures,
@@ -501,9 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     table = (
         render_table(report["results"])
         + "\n"
-        + render_negacyclic_table(report["negacyclic"])
-        + "\n"
-        + render_ordering_table(report["ordering"])
+        + render_convolution_table(report["convolution"])
     )
     print(table)
 
@@ -525,8 +329,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print(
-        "\nPASS: bit-exact everywhere (fused negacyclic and "
-        "permutation-free pipelines included), speedup gates met"
+        "\nPASS: bit-exact everywhere (production convolutions "
+        "included), speedup gates met"
     )
     return 0
 

@@ -7,10 +7,7 @@ batch sizes — every measurement cross-checked bit-exact against
 Python's big integers.  Batched cases additionally time the jobs API
 (looped ``JobScheduler.submit`` vs chunked ``JobScheduler.map``) and
 cross-check the ``software-mp`` sharding backend bit-identical against
-``software``.  The ordering gate (ISSUE 6) times ``multiply_many`` on
-the permutation-free (decimated DIF/DIT) multiplier against the
-natural-ordering one — on full runs the best batched paper 64K-plan
-case must clear the acceptance speedup.  Results go to two places:
+``software``.  Results go to two places:
 
 - ``BENCH_ssa_multiply.json`` at the repo root — the machine-readable
   perf-trajectory point (SSA-multiply series, one point per PR);
@@ -59,19 +56,6 @@ SMOKE_MIN_SPEEDUP = 0.5
 #: the numbers but only the lenient floor is enforced).
 JOBS_MIN_SPEEDUP = 1.0
 JOBS_MIN_SPEEDUP_1CORE = 0.5
-#: The permutation-free (decimated DIF/DIT) multiplier must never lose
-#: to the natural-ordering one — it strictly skips the digit-reversal
-#: gathers and the trailing ``n^{-1}`` scale pass — and the full run
-#: gates the ISSUE 6 acceptance on the *best* batched paper 64K-plan
-#: case, matching the bench_ntt_kernels gate: the margin is a few
-#: skipped vector passes, so individual batch sizes sit within timer
-#: jitter of the threshold while the best batched case clears it
-#: (smoke sizes are SSA-overhead-dominated, so only the lenient floor
-#: holds there).
-ORDERING_MIN_SPEEDUP = 1.0
-ORDERING_SMOKE_MIN_SPEEDUP = 0.5
-ORDERING_ACCEPTANCE_SPEEDUP = 1.05
-ORDERING_ACCEPTANCE_BITS = 786_432
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -81,63 +65,6 @@ def _best_time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _interleaved_best(fn_a, fn_b, repeats: int):
-    """Best-of timing with A/B samples interleaved (noise-robust)."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
-
-
-def run_ordering_case(
-    bits: int, count: int, repeats: int, seed: int
-) -> dict:
-    """Natural-ordering vs permutation-free ``multiply_many``.
-
-    Two multipliers share the same parameters; one pins the historical
-    natural-order convolution plan, the other the decimated DIF/DIT
-    pair (the new default).  Products are cross-checked against
-    Python's big integers on both, and the timing ratio is the
-    permutation-free speedup on the SSA hot path.
-    """
-    from repro.ntt.plan import ORDER_NATURAL
-    from repro.ssa.multiplier import SSAMultiplier
-
-    rng = random.Random(seed)
-    pairs = [
-        (rng.getrandbits(bits), rng.getrandbits(bits))
-        for _ in range(count)
-    ]
-    truth = [a * b for a, b in pairs]
-    natural = SSAMultiplier.for_bits(bits, ordering=ORDER_NATURAL)
-    free = SSAMultiplier.for_bits(bits)
-
-    bit_exact = (
-        natural.multiply_many(pairs) == truth
-        and free.multiply_many(pairs) == truth
-    )
-    natural_s, free_s = _interleaved_best(
-        lambda: natural.multiply_many(pairs),
-        lambda: free.multiply_many(pairs),
-        repeats,
-    )
-    return {
-        "bits": bits,
-        "count": count,
-        "transform_n": free.plan.n,
-        "natural_s": natural_s,
-        "permutation_free_s": free_s,
-        "speedup": natural_s / free_s,
-        "permutation_free_ops_per_s": count / free_s,
-        "bit_exact": bit_exact,
-    }
 
 
 def run_case(
@@ -252,29 +179,7 @@ def render_table(results: List[dict]) -> str:
     return "\n".join(lines)
 
 
-def render_ordering_table(results: List[dict]) -> str:
-    lines = [
-        "",
-        "multiply_many orderings: permutation-free DIF/DIT vs natural",
-        "",
-        f"{'bits':>8} {'count':>6} {'n':>7} {'natural s':>10} "
-        f"{'perm-free s':>12} {'speedup':>8} {'exact':>6}",
-    ]
-    for r in results:
-        lines.append(
-            f"{r['bits']:>8} {r['count']:>6} {r['transform_n']:>7} "
-            f"{r['natural_s']:>10.4f} {r['permutation_free_s']:>12.4f} "
-            f"{r['speedup']:>7.2f}x "
-            f"{'yes' if r['bit_exact'] else 'NO':>6}"
-        )
-    return "\n".join(lines)
-
-
-def evaluate(
-    results: List[dict],
-    smoke: bool,
-    ordering: Optional[List[dict]] = None,
-) -> List[str]:
+def evaluate(results: List[dict], smoke: bool) -> List[str]:
     """Gate failures (empty list == pass)."""
     import os
 
@@ -312,40 +217,6 @@ def evaluate(
                     f"{jobs['map_speedup']:.2f}x "
                     f"(< {jobs_floor}x looped submission)"
                 )
-    ordering_floor = (
-        ORDERING_SMOKE_MIN_SPEEDUP if smoke else ORDERING_MIN_SPEEDUP
-    )
-    for r in ordering or []:
-        tag = f"ordering bits={r['bits']} count={r['count']}"
-        if not r["bit_exact"]:
-            failures.append(
-                f"{tag}: products diverged from big-int truth"
-            )
-        if r["speedup"] < ordering_floor:
-            failures.append(
-                f"{tag}: permutation-free multiplier regressed to "
-                f"{r['speedup']:.2f}x (< {ordering_floor}x natural)"
-            )
-    if not smoke:
-        paper_cases = [
-            r
-            for r in ordering or []
-            if r["bits"] == ORDERING_ACCEPTANCE_BITS
-        ]
-        if not paper_cases:
-            failures.append(
-                f"no {ORDERING_ACCEPTANCE_BITS}-bit ordering "
-                f"measurement present"
-            )
-        else:
-            best = max(r["speedup"] for r in paper_cases)
-            if best < ORDERING_ACCEPTANCE_SPEEDUP:
-                failures.append(
-                    f"ordering bits={ORDERING_ACCEPTANCE_BITS}: best "
-                    f"batched permutation-free speedup {best:.2f}x "
-                    f"< {ORDERING_ACCEPTANCE_SPEEDUP}x acceptance "
-                    f"threshold"
-                )
     return failures
 
 
@@ -356,15 +227,9 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
     mp_engine = Engine(backend="software-mp")
     if smoke:
         cases = [(2048, 1), (2048, 8)]
-        ordering_cases = [(2048, 8)]
         repeats = repeats or 2
     else:
         cases = [(786_432, 1), (4096, 32), (16384, 16)]
-        ordering_cases = [
-            (ORDERING_ACCEPTANCE_BITS, 4),
-            (ORDERING_ACCEPTANCE_BITS, 8),
-            (16384, 16),
-        ]
         repeats = repeats or 3
     try:
         results = [
@@ -376,17 +241,10 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
     finally:
         mp_engine.close()
         engine.close()
-    # The ordering margin is a few skipped vector passes, so the gate
-    # takes extra interleaved repeats to keep the ratio honest on a
-    # noisy machine.
-    ordering_results = [
-        run_ordering_case(bits, count, max(repeats, 7), seed + 300 + i)
-        for i, (bits, count) in enumerate(ordering_cases)
-    ]
-    failures = evaluate(results, smoke, ordering_results)
+    failures = evaluate(results, smoke)
     return {
         "benchmark": "ssa_multiply",
-        "schema_version": 3,
+        "schema_version": 4,
         "mode": "smoke" if smoke else "full",
         "created_unix": time.time(),
         "environment": {
@@ -403,16 +261,9 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
             "timer": "best-of-repeats wall clock",
         },
         "results": results,
-        "ordering": ordering_results,
         "acceptance": {
             "min_batched_speedup": (
                 SMOKE_MIN_SPEEDUP if smoke else FULL_MIN_SPEEDUP
-            ),
-            "min_ordering_speedup": (
-                ORDERING_SMOKE_MIN_SPEEDUP if smoke else ORDERING_MIN_SPEEDUP
-            ),
-            "ordering_threshold": (
-                None if smoke else ORDERING_ACCEPTANCE_SPEEDUP
             ),
             "failures": failures,
             "passed": not failures,
@@ -449,9 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     report = run_suite(args.smoke, args.repeats, args.seed)
-    table = render_table(report["results"]) + "\n" + render_ordering_table(
-        report["ordering"]
-    )
+    table = render_table(report["results"])
     print(table)
 
     json_path = args.json

@@ -49,7 +49,6 @@ from repro.engine.config import (
 from repro.engine.ring import Ring
 from repro.ntt.plan import (
     DEFAULT_PLAN_CACHE,
-    ORDER_DECIMATED,
     ORDER_NATURAL,
     PlanCache,
     PlanCacheStats,
@@ -313,16 +312,16 @@ class Engine:
           engine's backend — on ``hw-model`` every homomorphic AND is
           cycle-counted);
         - :class:`repro.fhe.rlwe.RLWEParams` → an
-          :class:`repro.fhe.RLWE` instance whose negacyclic ring
-          products use the engine's *fused, decimated* negacyclic plan
-          (kernel and cache included) — ψ-twist and untwist folded into
-          the stage constants and the digit-reversal gathers skipped:
-          RLWE spectra are internal to the scheme, so the
-          permutation-free pair is safe end to end.  The scheme is also
-          bound to this engine's compute backend, so every ring product
-          (encryption masks, plaintext products, tensor/relinearization
-          passes) shards on ``software-mp`` and is cycle-counted on
-          ``hw-model``.
+          :class:`repro.fhe.RLWE` instance bound to this engine: its
+          negacyclic ring products run the engine's *fused, decimated*
+          plan pair (kernel and cache included) through
+          :meth:`Ring.convolve <repro.engine.Ring.convolve>` — ψ-twist
+          and untwist folded into the stage constants and the
+          digit-reversal gathers skipped, since RLWE spectra are
+          internal to the scheme — and every transform (encryption
+          masks, plaintext products, tensor/relinearization passes)
+          goes through this engine's compute backend, so it shards on
+          ``software-mp`` and is cycle-counted on ``hw-model``.
 
         Both return types implement the
         :class:`repro.fhe.ops.HEScheme` protocol.
@@ -330,21 +329,11 @@ class Engine:
         from repro.fhe.dghv import DGHV
         from repro.fhe.params import FHEParams, TOY
         from repro.fhe.rlwe import RLWE, RLWEParams
-        from repro.ntt.plan import TWIST_NEGACYCLIC
 
         if params is None:
             params = TOY
         if isinstance(params, RLWEParams):
-            return RLWE(
-                params,
-                rng=rng,
-                plan=self.plan(
-                    params.n,
-                    twist=TWIST_NEGACYCLIC,
-                    ordering=ORDER_DECIMATED,
-                ),
-                engine=self,
-            )
+            return RLWE(params, rng=rng, engine=self)
         if isinstance(params, FHEParams):
             return DGHV(
                 params, multiplier=EngineMultiplier(self), rng=rng

@@ -1,14 +1,11 @@
 """``engine.ring(n)`` — one polymorphic surface over transform twins.
 
-Before the engine façade, every ring operation came in scalar/batch
-pairs (``execute_plan`` / ``execute_plan_batch``,
-``negacyclic_convolution`` / ``_many`` / ``_broadcast``, ...).  A
-:class:`Ring` retires the twin explosion: every method accepts either a
-flat ``(n,)`` vector or a ``(batch, n)`` matrix and answers in kind —
-flat in, flat out; matrix in, matrix out.  Convolutions additionally
-broadcast: a ``(batch, n)`` operand against a single ``(n,)``
-polynomial transforms the fixed operand once and reuses its spectrum
-across the batch (the RLWE secret-key shape).
+Every :class:`Ring` method accepts either a flat ``(n,)`` vector or a
+``(batch, n)`` matrix and answers in kind — flat in, flat out; matrix
+in, matrix out.  Convolutions additionally broadcast: a ``(batch, n)``
+operand against a single ``(n,)`` polynomial transforms the fixed
+operand once and reuses its spectrum across the batch (the RLWE
+secret-key shape).
 
 All transforms are routed through the owning engine's backend, so the
 same ring runs on the staged software executor or on the cycle-counted
@@ -22,13 +19,14 @@ extra vector passes, on every backend.  The fused companion plan is
 built lazily from the engine's cache the first time a ring touches the
 ``x^n + 1`` algebra.
 
-:meth:`Ring.convolve` additionally runs the *decimated*
-(permutation-free) plan pair — DIF forward spectra stay in decimated
-order through the pointwise product and the DIT inverse consumes them
-directly, so convolutions skip every digit-reversal gather.  The
-explicit transform methods (``forward`` / ``inverse`` /
-``negacyclic_forward`` / ``negacyclic_inverse``) keep natural-order
-spectra, so code that inspects spectra sees the historical layout.
+:meth:`Ring.convolve` runs the shared
+:func:`repro.ntt.convolution.convolve_rows` sandwich on the *decimated*
+(permutation-free) plan pair, handing it the engine's backend dispatch
+as its transform — DIF forward spectra stay in decimated order through
+the pointwise product and the DIT inverse consumes them directly, so
+convolutions skip every digit-reversal gather.  The explicit transform
+methods (``forward`` / ``inverse`` / ``negacyclic_forward`` /
+``negacyclic_inverse``) keep natural-order spectra.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.field.vector import vmul
+from repro.ntt.convolution import convolve_rows
 from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC, TransformPlan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,7 +186,8 @@ class Ring:
         spectra stay in decimated order through the order-agnostic
         pointwise product, so no transform pays a digit-reversal
         gather.  Use :meth:`forward` / :meth:`negacyclic_forward` when
-        you need natural-order spectra explicitly.
+        you need natural-order spectra explicitly.  Operand batches
+        that neither match nor broadcast raise :class:`ValueError`.
         """
         rows_a, flat_a = _as_rows(a, self.n)
         rows_b, flat_b = _as_rows(b, self.n)
@@ -196,32 +196,9 @@ class Ring:
             if negacyclic
             else self.convolution_plan
         )
-
-        batch_a, batch_b = rows_a.shape[0], rows_b.shape[0]
-        if batch_a == batch_b:
-            spectra = self._engine._transform(
-                plan, np.concatenate([rows_a, rows_b], axis=0)
-            )
-            spectrum = vmul(
-                spectra[:batch_a],
-                spectra[batch_a:],
-                out=spectra[:batch_a],
-            )
-        elif batch_b == 1 or batch_a == 1:
-            if batch_a == 1:  # symmetric: keep the batch first
-                rows_a, rows_b = rows_b, rows_a
-                batch_a, batch_b = batch_b, batch_a
-            spectra = self._engine._transform(
-                plan, np.concatenate([rows_a, rows_b], axis=0)
-            )
-            spectrum = vmul(spectra[:-1], spectra[-1:], out=spectra[:-1])
-        else:
-            raise ValueError(
-                "operand batches must match (or one operand be a single "
-                f"polynomial); got {batch_a} and {batch_b} rows"
-            )
-
-        product = self._engine._transform(plan, spectrum, inverse=True)
+        product = convolve_rows(
+            rows_a, rows_b, plan, self._engine._transform
+        )
         return product[0] if flat_a and flat_b else product
 
     def negacyclic_convolve(

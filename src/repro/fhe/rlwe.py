@@ -35,9 +35,11 @@ ciphertext-by-ciphertext products via :meth:`RLWE.tensor` +
 :meth:`RLWE.relinearize` (base-decomposition key switching in
 single-modulus mode, per-channel RNS decomposition otherwise), BGV
 modulus switching (:meth:`RLWE.mod_switch`) for noise management, and
-a ``noise_budget`` query.  An :class:`RLWE` instance bound to an
-:class:`repro.engine.Engine` routes every ring product through the
-engine's compute backend, so the same pipeline runs sharded on
+a ``noise_budget`` query.  Every :class:`RLWE` instance is bound to an
+:class:`repro.engine.Engine` (its own software engine on the shared
+plan cache when none is given) and routes every ring product through
+that engine's :meth:`~repro.engine.Ring.convolve` and compute backend
+on the fused decimated plan pair, so the same pipeline runs sharded on
 ``software-mp`` and cycle-counted on ``hw-model`` — bit-identically.
 """
 
@@ -59,13 +61,6 @@ from repro.field.vector import (
     vmul,
     vmul_scalar,
     vsub,
-)
-from repro.ntt.plan import TransformPlan
-from repro.ntt.negacyclic import (
-    negacyclic_convolution_broadcast,
-    negacyclic_convolution_many,
-    negacyclic_inverse_many,
-    negacyclic_transform_many,
 )
 
 _HALF = np.uint64(P >> 1)
@@ -365,42 +360,35 @@ class RLWE:
     """Symmetric RLWE encryption with NTT-backed ring products.
 
     The preferred constructor is :meth:`repro.engine.Engine.fhe`, which
-    binds the scheme to the engine's fused, permutation-free negacyclic
+    binds the scheme to that engine's fused, permutation-free negacyclic
     plan *and* to its compute backend — ring products then shard on
-    ``software-mp`` and are cycle-counted on ``hw-model``.  A free
-    instance (no engine) runs the module-level convolution helpers on
-    the process-global plan cache; all routes are bit-identical.
+    ``software-mp`` and are cycle-counted on ``hw-model``.  An instance
+    built without an engine binds a software engine on the
+    process-global plan cache; every ring product runs the same route.
     """
 
     def __init__(
         self,
         params: RLWEParams = RLWEParams(),
         rng: Optional[random.Random] = None,
-        plan: Optional[TransformPlan] = None,
         engine: Optional[Any] = None,
     ):
-        """``plan`` (optional) pins every ring product to a prebuilt
-        transform plan; ``engine`` (optional) additionally routes every
-        transform through that engine's compute backend.  ``None`` for
-        both consults the module-global plan cache per convolution,
-        which resolves to the fused decimated plan; passing an unfused
-        cyclic plan pins the explicit-twist oracle route instead — all
-        routes are bit-identical."""
-        params.validate()
-        if engine is not None and plan is None:
-            from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC
+        """``engine`` (optional) runs every ring product and transform;
+        ``None`` binds ``Engine(config=ExecutionConfig(cache="shared"))``."""
+        from repro.engine import Engine, ExecutionConfig
+        from repro.engine.config import CACHE_SHARED
+        from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC
 
-            plan = engine.plan(
-                params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
-            )
-        if plan is not None and plan.n != params.n:
-            raise ValueError(
-                f"plan is {plan.n}-point but the ring dimension is {params.n}"
-            )
+        params.validate()
+        if engine is None:
+            engine = Engine(config=ExecutionConfig(cache=CACHE_SHARED))
         self.params = params
         self.rng = rng or random.Random()
-        self.plan = plan
         self.engine = engine
+        #: The fused decimated pair every ring product executes.
+        self.plan = engine.plan(
+            params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+        )
         if params.is_rns:
             self._primes = np.array(params.rns_primes, dtype=np.int64)
         else:
@@ -411,36 +399,17 @@ class RLWE:
     def _transform_rows(
         self, rows: np.ndarray, inverse: bool = False
     ) -> np.ndarray:
-        """One batched (inverse) negacyclic transform, engine-routed.
-
-        Bound schemes dispatch through ``engine._transform`` so the
-        backend sees the pass (sharded on ``software-mp``,
-        cycle-counted on ``hw-model``); free schemes run the module
-        helpers on ``self.plan``.
-        """
-        if self.engine is not None and self.plan is not None:
-            return self.engine._transform(self.plan, rows, inverse=inverse)
-        if inverse:
-            return negacyclic_inverse_many(rows, self.plan)
-        return negacyclic_transform_many(rows, self.plan)
+        """One batched (inverse) negacyclic transform on the engine's
+        backend (sharded on ``software-mp``, cycle-counted on
+        ``hw-model``)."""
+        return self.engine._transform(self.plan, rows, inverse=inverse)
 
     def _conv_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise ``(R, n)`` negacyclic products mod ``p``."""
-        if self.engine is not None:
-            return self.engine.ring(self.params.n).convolve(
-                a, b, negacyclic=True
-            )
-        return negacyclic_convolution_many(a, b, self.plan)
-
-    def _conv_broadcast(
-        self, rows: np.ndarray, poly: np.ndarray
-    ) -> np.ndarray:
-        """Every row of ``(R, n)`` against one fixed polynomial."""
-        if self.engine is not None:
-            return self.engine.ring(self.params.n).convolve(
-                rows, poly, negacyclic=True
-            )
-        return negacyclic_convolution_broadcast(rows, poly, self.plan)
+        """Negacyclic products mod ``p``: row-wise for equal ``(R, n)``
+        batches, broadcast when one side is a single polynomial."""
+        return self.engine.ring(self.params.n).convolve(
+            a, b, negacyclic=True
+        )
 
     # -- RNS channel arithmetic --------------------------------------------
 
@@ -561,7 +530,7 @@ class RLWE:
             digits = -(-64 // params.relin_base)  # ceil(64 / base)
             a_rows = self._uniform_field(digits)
             noises = self._noise_signed(digits)
-            a_s = self._conv_broadcast(a_rows, s_field)
+            a_s = self._conv_rows(a_rows, s_field)
             keys = []
             for j in range(digits):
                 body = vadd(
@@ -655,7 +624,7 @@ class RLWE:
         if not params.is_rns:
             secret = self._secret_for(key)
             a = self._uniform_field(batch)
-            a_s = self._conv_broadcast(a, secret)
+            a_s = self._conv_rows(a, secret)
             c0 = vsub(to_field_matrix(payload), a_s)
             return [
                 RLWECiphertext(c0=c0[i], c1=a[i], params=params)
@@ -702,7 +671,7 @@ class RLWE:
             c1 = np.vstack([ct.c1 for ct in cts])
             phase = vadd(
                 np.vstack([ct.c0 for ct in cts]),
-                self._conv_broadcast(c1, secret),
+                self._conv_rows(c1, secret),
             )
             if degree2:
                 s_sq = self._conv_rows(
@@ -716,7 +685,7 @@ class RLWE:
                         for ct in cts
                     ]
                 )
-                phase = vadd(phase, self._conv_broadcast(c2, s_sq))
+                phase = vadd(phase, self._conv_rows(c2, s_sq))
             return phase
 
         signed = self._as_signed_secret(key)
@@ -865,60 +834,35 @@ class RLWE:
         self._check_ciphertexts(cts)
         params = self.params
         batch = len(cts)
-        polys = to_field_matrix(plains)
-
-        if not params.is_rns:
-            stacked = np.vstack(
-                [
-                    np.vstack([ct.c0 for ct in cts]),
-                    np.vstack([ct.c1 for ct in cts]),
-                ]
-            )
-            spectra = self._transform_rows(np.vstack([stacked, polys]))
-            ct_spectra = spectra[: 2 * batch]
-            plain_spectra = spectra[2 * batch :]
-            products = self._transform_rows(
-                vmul(
-                    ct_spectra, np.vstack([plain_spectra, plain_spectra])
-                ),
-                inverse=True,
-            )
-            return [
-                RLWECiphertext(
-                    c0=products[i],
-                    c1=products[batch + i],
-                    params=cts[i].params,
-                )
-                for i in range(batch)
-            ]
-
-        level = cts[0].level
+        level = cts[0].level if params.is_rns else 1
         rows = batch * level
-        stacked = np.vstack(
-            [
-                np.vstack([ct.c0 for ct in cts]),
-                np.vstack([ct.c1 for ct in cts]),
-            ]
+        spectra = self._transform_rows(
+            np.vstack(
+                [ct.c0.reshape(level, -1) for ct in cts]
+                + [ct.c1.reshape(level, -1) for ct in cts]
+                + [to_field_matrix(plains)]
+            )
         )
-        spectra = self._transform_rows(np.vstack([stacked, polys]))
-        ct_spectra = spectra[: 2 * rows]
         plain_spectra = np.repeat(spectra[2 * rows :], level, axis=0)
         products = self._transform_rows(
             vmul(
-                ct_spectra, np.vstack([plain_spectra, plain_spectra])
+                spectra[: 2 * rows], np.vstack([plain_spectra, plain_spectra])
             ),
             inverse=True,
         )
-        prime_col = self._prime_column(level, repeat=2 * batch)
-        reduced = self._channel_reduce(products, prime_col)
+        if params.is_rns:
+            products = self._channel_reduce(
+                products, self._prime_column(level, repeat=2 * batch)
+            )
+        shape = cts[0].c0.shape
         return [
             RLWECiphertext(
-                c0=reduced[i * level : (i + 1) * level],
-                c1=reduced[rows + i * level : rows + (i + 1) * level],
-                params=cts[i].params,
-                level=level,
+                c0=products[lo : lo + level].reshape(shape),
+                c1=products[rows + lo : rows + lo + level].reshape(shape),
+                params=ct.params,
+                level=ct.level,
             )
-            for i in range(batch)
+            for ct, lo in zip(cts, range(0, rows, level))
         ]
 
     # -- ciphertext-by-ciphertext multiplication -----------------------------

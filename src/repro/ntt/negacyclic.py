@@ -4,28 +4,29 @@ Section III notes that ultralong multiplication "plays a central role in
 different fully homomorphic schemes, such as ... solutions based on
 Lattice problems and Learning with Errors, which may thus be
 implemented on top of the accelerator".  RLWE schemes multiply in the
-negacyclic ring ``Z_q[x]/(x^n + 1)`` — implemented here with the
-classic ψ-twist: scale input ``i`` by ``ψ^i`` (ψ a primitive 2n-th
-root, ``ψ² = ω``), run the ordinary cyclic NTT of size ``n``, and
-untwist by ``ψ^{-i}``.  The same FFT hardware serves both convolution
-flavors; only the twiddle constants change.
+negacyclic ring ``Z_q[x]/(x^n + 1)`` — the classic ψ-twist: scale input
+``i`` by ``ψ^i`` (ψ a primitive 2n-th root, ``ψ² = ω``), run the
+ordinary cyclic NTT of size ``n``, and untwist by ``ψ^{-i}``.  The same
+FFT hardware serves both convolution flavors; only the twiddle
+constants change.
 
-By default every function here executes a *fused* plan
+Every function here executes a *fused* plan
 (:data:`repro.ntt.plan.TWIST_NEGACYCLIC`): the ψ-twist lives in the
 first-stage DFT/twiddle constants and the ψ⁻¹-untwist plus ``n^{-1}``
 in the inverse companion's stages, so a negacyclic transform is one
-plain plan execution — the two full-vector twist ``vmul`` passes (and
-the inverse scale pass) disappear.  Passing an unfused plan keeps the
-historical explicit-twist route, which doubles as the bit-exactness
-oracle for the fused constants.
+plain plan execution with no twist vector passes.  An unfused (plain
+cyclic) plan raises :class:`ValueError`, the way
+:func:`repro.ntt.convolution.cyclic_convolution_many` rejects a fused
+one.
 
-The *convolution* entry points additionally default to the decimated
-(permutation-free) plan pair: their forward→pointwise→inverse sandwich
-never looks at spectrum order, so the digit-reversal gathers drop too.
-The explicit-spectra pair :func:`negacyclic_transform_many` /
+The *convolution* entry points run the shared
+:func:`repro.ntt.convolution.convolve_rows` sandwich and default to the
+fused decimated (permutation-free) pair: the pointwise product never
+looks at spectrum order, so the digit-reversal gathers drop too.  The
+explicit-spectra pair :func:`negacyclic_transform_many` /
 :func:`negacyclic_inverse_many` keeps natural-order spectra by default
-— callers who inspect spectra see the historical layout unless they
-pass a decimated plan themselves (see :mod:`repro.ntt.order`).
+— callers who inspect spectra see the natural layout unless they pass
+a decimated plan themselves (see :mod:`repro.ntt.order`).
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ import numpy as np
 
 from repro.field.roots import root_of_unity
 from repro.field.solinas import P, inverse, pow_mod
-from repro.field.vector import vmul
+from repro.ntt.convolution import convolve_rows
 from repro.ntt.plan import (
-    ORDER_DECIMATED,
-    ORDER_NATURAL,
     TWIST_NEGACYCLIC,
     TransformPlan,
+    decimated_companion,
     plan_for_size,
 )
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
@@ -52,9 +52,11 @@ from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 def twist_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(ψ^i, ψ^{-i})`` tables for the forward and inverse twist.
 
-    Public so backend-polymorphic callers (notably
-    :class:`repro.engine.Ring`) can wrap any plain cyclic transform
-    into a negacyclic one; the tables are cached per ``n``.
+    The fused plans fold these into their stage constants; the tables
+    stay public for the hw-model's datapath fidelity, which walks the
+    plain cyclic base plan with the explicit twist because the
+    shift-only FFT-64 unit only evaluates plain DFT webs.  Cached per
+    ``n``.
     """
     psi = root_of_unity(2 * n)
     if pow_mod(psi, 2) != root_of_unity(n):
@@ -71,26 +73,23 @@ def twist_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return forward, backward
 
 
-#: Back-compat alias (pre-engine internal name).
-_twist_tables = twist_tables
-
-
 def _negacyclic_plan(
-    n: int,
-    plan: Optional[TransformPlan],
-    ordering: str = ORDER_NATURAL,
+    n: int, plan: Optional[TransformPlan], decimated: bool = False
 ) -> TransformPlan:
-    """Resolve the plan for an ``n``-point negacyclic operation.
-
-    ``None`` builds (and caches) the fused negacyclic plan with the
-    requested ``ordering``; an explicit plan — fused or not, natural or
-    decimated — is validated and used as given, so callers can pin the
-    explicit-twist oracle route by passing a cyclic plan.
-    """
+    """The given fused ``n``-point plan, or the cached default (natural,
+    or its decimated companion when ``decimated``)."""
+    if n == 0 or n & (n - 1):
+        raise ValueError("length must be a power of two")
     if plan is None:
-        return plan_for_size(n, twist=TWIST_NEGACYCLIC, ordering=ordering)
+        plan = plan_for_size(n, twist=TWIST_NEGACYCLIC)
+        return decimated_companion(plan) if decimated else plan
     if plan.n != n:
         raise ValueError("plan size does not match input length")
+    if plan.twist != TWIST_NEGACYCLIC:
+        raise ValueError(
+            "negacyclic operations require a fused plan "
+            f"(twist={TWIST_NEGACYCLIC!r}); got an unfused cyclic plan"
+        )
     return plan
 
 
@@ -119,31 +118,14 @@ def negacyclic_convolution_many(
     b: np.ndarray,
     plan: Optional[TransformPlan] = None,
 ) -> np.ndarray:
-    """Row-wise negacyclic products of two ``(batch, n)`` matrices.
-
-    All ``2·batch`` twisted rows go through one batched forward NTT,
-    then a batched pointwise product, one batched inverse and the
-    untwist — identical per row to :func:`negacyclic_convolution`.
-    This is the ring-product engine behind the batched RLWE APIs.
-
-    The default plan is the fused *decimated* pair: the spectra stay in
-    decimated order through the order-agnostic pointwise product, so
-    neither transform pays a digit-reversal gather.  Pass an explicit
-    natural-ordering plan to pin the historical permuted route.
-    """
+    """Row-wise negacyclic products of two ``(batch, n)`` matrices,
+    identical per row to :func:`negacyclic_convolution`."""
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError("inputs must be equal-shape (batch, n) matrices")
-    batch, n = a.shape
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a power of two")
-    plan = _negacyclic_plan(n, plan, ordering=ORDER_DECIMATED)
-    spectra = negacyclic_transform_many(np.concatenate([a, b], axis=0), plan)
-    # The pointwise product may overwrite the first half of the owned
-    # spectra matrix instead of allocating a fresh one.
-    product = vmul(spectra[:batch], spectra[batch:], out=spectra[:batch])
-    return negacyclic_inverse_many(product, plan)
+    plan = _negacyclic_plan(a.shape[1], plan, decimated=True)
+    return convolve_rows(a, b, plan)
 
 
 def negacyclic_convolution_broadcast(
@@ -157,10 +139,7 @@ def negacyclic_convolution_broadcast(
     The fixed operand is transformed once and its spectrum broadcast
     across the batch — ``batch + 1`` forward transforms instead of the
     ``2·batch`` a tiled :func:`negacyclic_convolution_many` would pay.
-    This is the shape of RLWE key operations, where one secret meets
-    many ciphertext polynomials.  Like
-    :func:`negacyclic_convolution_many`, the default plan is the fused
-    decimated (permutation-free) pair.
+    The default plan is the fused decimated pair.
     """
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
@@ -168,11 +147,8 @@ def negacyclic_convolution_broadcast(
         raise ValueError(
             "expected a (batch, n) matrix and a length-n polynomial"
         )
-    plan = _negacyclic_plan(a.shape[1], plan, ordering=ORDER_DECIMATED)
-    spectra = negacyclic_transform_many(
-        np.concatenate([a, b[np.newaxis, :]], axis=0), plan
-    )
-    return negacyclic_inverse_many(vmul(spectra[:-1], spectra[-1:]), plan)
+    plan = _negacyclic_plan(a.shape[1], plan, decimated=True)
+    return convolve_rows(a, b[np.newaxis, :], plan)
 
 
 def negacyclic_transform_many(
@@ -183,24 +159,13 @@ def negacyclic_transform_many(
     Together with :func:`negacyclic_inverse_many` this exposes the two
     halves of the convolution so callers can reuse spectra (e.g. one
     plaintext spectrum against both halves of an RLWE ciphertext).
-    Spectra are identical bits whichever plan flavor computes them: a
-    fused plan folds the twist into its first stage, an unfused plan
-    pays the explicit twist ``vmul`` first.  The default plan keeps
-    *natural* spectrum order (explicit-spectra callers see the
-    historical layout); pass a decimated plan for permutation-free
-    spectra.
+    The default plan keeps *natural* spectrum order; pass a fused
+    decimated plan for permutation-free spectra.
     """
     polys = np.ascontiguousarray(polys, dtype=np.uint64)
     if polys.ndim != 2:
         raise ValueError("expected a (batch, n) matrix")
-    n = polys.shape[1]
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a power of two")
-    plan = _negacyclic_plan(n, plan)
-    if plan.twist == TWIST_NEGACYCLIC:
-        return execute_plan_batch(polys, plan)
-    forward, _ = twist_tables(n)
-    return execute_plan_batch(vmul(polys, forward[np.newaxis, :]), plan)
+    return execute_plan_batch(polys, _negacyclic_plan(polys.shape[1], plan))
 
 
 def negacyclic_inverse_many(
@@ -208,18 +173,12 @@ def negacyclic_inverse_many(
 ) -> np.ndarray:
     """Inverse of :func:`negacyclic_transform_many`: untwisted rows.
 
-    On a fused plan the untwist (and ``n^{-1}``) live in the inverse
-    stages, so this is one plain plan execution with no trailing
-    vector passes.
+    The untwist (and ``n^{-1}``) live in the fused inverse stages, so
+    this is one plain plan execution with no trailing vector passes.
     """
     spectra = np.ascontiguousarray(spectra, dtype=np.uint64)
     if spectra.ndim != 2:
         raise ValueError("expected a (batch, n) matrix")
-    n = spectra.shape[1]
-    plan = _negacyclic_plan(n, plan)
-    if plan.twist == TWIST_NEGACYCLIC:
-        return execute_plan_inverse_batch(spectra, plan)
-    _, backward = twist_tables(n)
-    product = execute_plan_inverse_batch(spectra, plan)
-    # `product` is freshly owned by this call: untwist in place.
-    return vmul(product, backward[np.newaxis, :], out=product)
+    return execute_plan_inverse_batch(
+        spectra, _negacyclic_plan(spectra.shape[1], plan)
+    )

@@ -19,14 +19,16 @@ before trusting any number the library prints:
 10. the jobs layer: ``software-mp`` sharded products and transforms
     bit-identical to ``software``, ``JobScheduler`` submit/map
     ordering intact;
-11. fused negacyclic plans (ψ-twist folded into stage constants)
-    bit-identical to the explicit-twist ``loop``-kernel oracle, on
+11. fused negacyclic plans (ψ-twist folded into stage constants): their
+    spectra equal ``dft_reference`` of the ψ-twisted input, and their
+    products equal the schoolbook mod-``p`` negacyclic product, on
     both stage kernels and through the hw-model ring;
 12. permutation-free (decimated) plan pairs: DIF-forward spectra are
-    the natural spectra under the digit-reversal permutation, and
-    cyclic/fused-negacyclic convolutions through the DIT inverse are
-    bit-identical to the natural-order ``loop`` oracle, including
-    through the hw-model ring;
+    the ``dft_reference`` spectra under the digit-reversal
+    permutation, cyclic convolutions through the DIT inverse equal
+    ``idft_reference`` of the pointwise reference spectra, and fused
+    negacyclic ones the schoolbook product, including through the
+    hw-model ring;
 13. the fault-tolerant runtime: a ``software-mp`` batch with one
     worker SIGKILLed mid-shard recovers automatically — the respawned
     pool replays the lost shards, the recovered products are
@@ -269,39 +271,57 @@ def _check_jobs_mp() -> CheckResult:
     )
 
 
+def _random_pair(seed: int, n: int):
+    """Two ``(3, n)`` matrices of random field elements."""
+    import numpy as np
+
+    from repro.field.solinas import P
+
+    rng = random.Random(seed)
+    rows = [[rng.randrange(P) for _ in range(n)] for _ in range(6)]
+    return np.array(rows, dtype=np.uint64).reshape(2, 3, n)
+
+
+def _schoolbook_negacyclic(a, b):
+    """Row-wise ``a(x)·b(x) mod (x^n + 1, p)`` by the O(n²) definition."""
+    import numpy as np
+
+    from repro.field.solinas import P
+
+    n = a.shape[1]
+    a, b = a.astype(object), b.astype(object)
+    full = np.zeros((a.shape[0], 2 * n), dtype=object)
+    for i in range(n):
+        full[:, i : i + n] += a[:, i : i + 1] * b
+    return ((full[:, :n] - full[:, n:]) % P).astype(np.uint64)
+
+
 def _check_negacyclic_fused() -> CheckResult:
     import numpy as np
 
     from repro.engine import Engine
+    from repro.field.roots import root_of_unity
     from repro.field.solinas import P
-    from repro.ntt.negacyclic import negacyclic_convolution_many
+    from repro.ntt.negacyclic import (
+        negacyclic_convolution_many,
+        negacyclic_transform_many,
+    )
     from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
+    from repro.ntt.reference import dft_reference
 
-    rng = random.Random(9)
     n, radices = 256, (16, 4, 4)
-    a = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    b = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    oracle = negacyclic_convolution_many(
-        a, b, plan_for_size(n, radices, kernel="loop")
-    )
+    a, b = _random_pair(9, n)
+    oracle = _schoolbook_negacyclic(a, b)
+    psi = root_of_unity(2 * n)
+    twisted = [int(x) * pow(psi, i, P) % P for i, x in enumerate(a[0])]
+    spectrum = np.array(dft_reference(twisted), dtype=np.uint64)
     fused_ok = all(
-        np.array_equal(
-            oracle,
-            negacyclic_convolution_many(
-                a,
-                b,
-                plan_for_size(
-                    n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC
-                ),
-            ),
+        np.array_equal(negacyclic_transform_many(a[:1], plan)[0], spectrum)
+        and np.array_equal(negacyclic_convolution_many(a, b, plan), oracle)
+        for plan in (
+            plan_for_size(n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC)
+            for kernel in ("loop", "limb-matmul")
         )
-        for kernel in ("loop", "limb-matmul")
     )
     # The hw ring uses the default shift-only radices ((16, 16) at 256
     # points); the ring product is factorization-independent.
@@ -310,7 +330,7 @@ def _check_negacyclic_fused() -> CheckResult:
         Engine(backend="hw-model").ring(n).negacyclic_convolve(a, b),
     )
     return CheckResult(
-        "fused negacyclic plans vs explicit-twist loop oracle",
+        "fused negacyclic plans vs dft_reference and schoolbook oracles",
         fused_ok and hw_ok,
     )
 
@@ -328,29 +348,29 @@ def _check_ordering() -> CheckResult:
         TWIST_NEGACYCLIC,
         plan_for_size,
     )
+    from repro.ntt.reference import dft_reference, idft_reference
     from repro.ntt.staged import execute_plan_batch
 
-    rng = random.Random(10)
     n, radices = 256, (4, 16, 4)
-    a = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
+    a, b = _random_pair(10, n)
+    spectra_a = [dft_reference(row) for row in a.tolist()]
+    spectra_b = [dft_reference(row) for row in b.tolist()]
+    cyclic_oracle = np.array(
+        [
+            idft_reference([x * y % P for x, y in zip(fa, fb)])
+            for fa, fb in zip(spectra_a, spectra_b)
+        ],
         dtype=np.uint64,
     )
-    b = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    natural = plan_for_size(n, radices, kernel="loop")
     decimated = plan_for_size(
         n, radices, kernel="loop", ordering=ORDER_DECIMATED
     )
     spectra_ok = np.array_equal(
         reorder_to_natural(execute_plan_batch(a, decimated), decimated),
-        execute_plan_batch(a, natural),
+        np.array(spectra_a, dtype=np.uint64),
     )
     conv_ok = np.array_equal(
-        cyclic_convolution_many(a, b, decimated),
-        cyclic_convolution_many(a, b, natural),
+        cyclic_convolution_many(a, b, decimated), cyclic_oracle
     )
     fused_ok = np.array_equal(
         negacyclic_convolution_many(
@@ -364,15 +384,13 @@ def _check_ordering() -> CheckResult:
                 ordering=ORDER_DECIMATED,
             ),
         ),
-        negacyclic_convolution_many(a, b, natural),
+        _schoolbook_negacyclic(a, b),
     )
-    hw_ring = Engine(backend="hw-model").ring(n)
     hw_ok = np.array_equal(
-        hw_ring.convolve(a, b),
-        cyclic_convolution_many(a, b, natural),
+        Engine(backend="hw-model").ring(n).convolve(a, b), cyclic_oracle
     )
     return CheckResult(
-        "permutation-free plans vs natural-order loop oracle",
+        "permutation-free plans vs dft_reference and schoolbook oracles",
         spectra_ok and conv_ok and fused_ok and hw_ok,
     )
 

@@ -496,10 +496,6 @@ class TestEngineFHE:
         assert np.array_equal(ct_b.c0, ct_f.c0)
         assert np.array_equal(ct_b.c1, ct_f.c1)
 
-    def test_rlwe_plan_dimension_checked(self):
-        with pytest.raises(ValueError):
-            RLWE(RLWEParams(n=64), plan=Engine().plan(128))
-
     def test_bad_params_type(self):
         with pytest.raises(TypeError):
             Engine().fhe(params=object())

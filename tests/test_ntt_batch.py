@@ -15,6 +15,8 @@ from repro.ntt.negacyclic import (
     negacyclic_convolution_many,
 )
 from repro.ntt.plan import (
+    ORDER_DECIMATED,
+    TWIST_NEGACYCLIC,
     clear_plan_cache,
     plan_cache_stats,
     plan_for_size,
@@ -97,15 +99,18 @@ def test_batched_matches_dft_reference(batch, seed):
 )
 def test_convolution_many_matches_looped(config, batch, seed):
     n, radices = config
-    plan = plan_for_size(n, radices)
+    plan = plan_for_size(n, radices, ordering=ORDER_DECIMATED)
+    fused = plan_for_size(
+        n, radices, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+    )
     a = _random_matrix(batch, n, seed)
     b = _random_matrix(batch, n, seed + 1)
     cyc = cyclic_convolution_many(a, b, plan)
-    neg = negacyclic_convolution_many(a, b, plan)
+    neg = negacyclic_convolution_many(a, b, fused)
     for i in range(batch):
         assert np.array_equal(cyc[i], cyclic_convolution(a[i], b[i], plan))
         assert np.array_equal(
-            neg[i], negacyclic_convolution(a[i], b[i], plan)
+            neg[i], negacyclic_convolution(a[i], b[i], fused)
         )
 
 
@@ -117,7 +122,9 @@ def test_convolution_many_matches_looped(config, batch, seed):
 )
 def test_convolution_broadcast_matches_looped(config, batch, seed):
     n, radices = config
-    plan = plan_for_size(n, radices)
+    plan = plan_for_size(
+        n, radices, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+    )
     a = _random_matrix(batch, n, seed)
     fixed = _random_matrix(1, n, seed + 1)[0]
     got = negacyclic_convolution_broadcast(a, fixed, plan)

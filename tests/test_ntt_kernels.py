@@ -23,7 +23,7 @@ from repro.ntt.negacyclic import (
     negacyclic_inverse_many,
     negacyclic_transform_many,
 )
-from repro.ntt.plan import StageSpec, plan_for_size
+from repro.ntt.plan import TWIST_NEGACYCLIC, StageSpec, plan_for_size
 from repro.ntt.staged import (
     execute_plan_batch,
     execute_plan_inverse_batch,
@@ -168,8 +168,12 @@ class TestPlanEquivalence:
     )
     def test_negacyclic_wrappers(self, config, batch, seed):
         n, radices = config
-        loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(n, radices, kernel=KERNEL_LIMB_MATMUL)
+        loop_plan = plan_for_size(
+            n, radices, kernel=KERNEL_LOOP, twist=TWIST_NEGACYCLIC
+        )
+        fast_plan = plan_for_size(
+            n, radices, kernel=KERNEL_LIMB_MATMUL, twist=TWIST_NEGACYCLIC
+        )
         rng = np.random.default_rng(seed)
         a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
         b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)

@@ -5,8 +5,14 @@ import pytest
 
 from repro.field.solinas import P
 from repro.field.vector import from_field_array, to_field_array
-from repro.ntt.negacyclic import negacyclic_convolution
-from repro.ntt.plan import plan_for_size
+from repro.ntt.negacyclic import (
+    negacyclic_convolution,
+    negacyclic_convolution_broadcast,
+    negacyclic_convolution_many,
+    negacyclic_inverse_many,
+    negacyclic_transform_many,
+)
+from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
 
 
 def direct_negacyclic(a, b):
@@ -77,13 +83,30 @@ def test_differs_from_cyclic(rng):
 
 def test_explicit_plan(rng):
     n = 256
-    plan = plan_for_size(n, (16, 16))
+    plan = plan_for_size(n, (16, 16), twist=TWIST_NEGACYCLIC)
     a = [rng.randrange(1 << 16) for _ in range(n)]
     b = [rng.randrange(1 << 16) for _ in range(n)]
     got = negacyclic_convolution(
         to_field_array(a), to_field_array(b), plan=plan
     )
     assert from_field_array(got) == direct_negacyclic(a, b)
+
+
+def test_unfused_plan_rejected():
+    """Every negacyclic entry point refuses a plain cyclic plan, the way
+    cyclic_convolution_many refuses a fused one."""
+    unfused = plan_for_size(64, (8, 8))
+    rows = np.ones((2, 64), dtype=np.uint64)
+    calls = [
+        lambda: negacyclic_convolution(rows[0], rows[1], unfused),
+        lambda: negacyclic_convolution_many(rows, rows, unfused),
+        lambda: negacyclic_convolution_broadcast(rows, rows[0], unfused),
+        lambda: negacyclic_transform_many(rows, unfused),
+        lambda: negacyclic_inverse_many(rows, unfused),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="fused plan"):
+            call()
 
 
 def test_bad_inputs():

@@ -1,13 +1,17 @@
-"""Fused negacyclic plans: bit-identity against the explicit-twist
-``loop``-kernel oracle across kernels, shapes, radix mixes and compute
-backends (repro.ntt.plan / negacyclic / engine / hw-model)."""
+"""Fused negacyclic plans: bit-identity against ``dft_reference`` of
+the ψ-twisted input and the fused decimated ``loop``-kernel oracle
+across kernels, shapes, radix mixes and compute backends
+(repro.ntt.plan / negacyclic / engine / hw-model)."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine
+from repro.engine import Engine, ExecutionConfig
+from repro.field.roots import root_of_unity
 from repro.field.solinas import P
 from repro.ntt.convolution import cyclic_convolution_many
 from repro.ntt.kernels import KERNEL_LIMB_MATMUL, KERNEL_LOOP
@@ -19,7 +23,9 @@ from repro.ntt.negacyclic import (
     negacyclic_transform_many,
     twist_tables,
 )
-from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
+from repro.ntt.order import reorder_to_natural
+from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC, plan_for_size
+from repro.ntt.reference import dft_reference
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 
 #: (n, radices) points covering single-stage, two-stage, three-stage
@@ -42,8 +48,37 @@ def _rows(rng, batch, n):
 
 
 def _oracle_plan(n, radices):
-    """The explicit-twist bit-exactness oracle: unfused loop kernel."""
-    return plan_for_size(n, radices, kernel=KERNEL_LOOP)
+    """The bit-exactness oracle plan: fused decimated, loop kernel."""
+    return plan_for_size(
+        n,
+        radices,
+        kernel=KERNEL_LOOP,
+        twist=TWIST_NEGACYCLIC,
+        ordering=ORDER_DECIMATED,
+    )
+
+
+def _oracle_spectra(rows, n, radices):
+    """Natural-order negacyclic spectra from the loop oracle plan."""
+    plan = _oracle_plan(n, radices)
+    return reorder_to_natural(negacyclic_transform_many(rows, plan), plan)
+
+
+@lru_cache(maxsize=None)
+def _reference_case(n, seed, batch):
+    """Random rows and their ``dft_reference`` spectra of the ψ-twisted
+    input — the negacyclic spectrum by definition."""
+    rows = _rows(np.random.default_rng(seed), batch, n)
+    psi = root_of_unity(2 * n)
+    twist = [pow(psi, i, P) for i in range(n)]
+    spectra = np.array(
+        [
+            dft_reference([int(x) * w % P for x, w in zip(row, twist)])
+            for row in rows
+        ],
+        dtype=np.uint64,
+    )
+    return rows, spectra
 
 
 class TestFusedPlanConstruction:
@@ -98,24 +133,19 @@ class TestFusedPlanConstruction:
 
 
 class TestFusedEquivalence:
-    """Fused plans == explicit-twist loop oracle, bit for bit."""
+    """Fused plans == dft_reference and the loop oracle, bit for bit."""
 
     @pytest.mark.parametrize("n,radices", SHAPES)
     @pytest.mark.parametrize("kernel", [KERNEL_LOOP, KERNEL_LIMB_MATMUL])
     def test_forward_inverse_roundtrip(self, n, radices, kernel):
-        rng = np.random.default_rng(n * 7 + len(radices))
         fused = plan_for_size(n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC)
-        oracle = _oracle_plan(n, radices)
         for batch in (1, 3):
-            rows = _rows(rng, batch, n)
-            want = negacyclic_transform_many(rows, oracle)
+            seed = n * 7 + len(radices) + batch
+            rows, want = _reference_case(n, seed, batch)
             got = negacyclic_transform_many(rows, fused)
             assert np.array_equal(want, got)
             back = negacyclic_inverse_many(got, fused)
             assert np.array_equal(back, rows)
-            assert np.array_equal(
-                back, negacyclic_inverse_many(want, oracle)
-            )
 
     @pytest.mark.parametrize("n,radices", SHAPES)
     def test_convolution_many_and_broadcast(self, n, radices):
@@ -149,7 +179,7 @@ class TestFusedEquivalence:
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
         rows = _rows(rng, batch, n)
-        oracle = negacyclic_transform_many(rows, _oracle_plan(n, radices))
+        oracle = _oracle_spectra(rows, n, radices)
         for kernel in (KERNEL_LOOP, KERNEL_LIMB_MATMUL):
             fused = plan_for_size(
                 n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC
@@ -160,17 +190,6 @@ class TestFusedEquivalence:
             assert np.array_equal(
                 rows, negacyclic_inverse_many(oracle, fused)
             )
-
-    def test_spectra_interchangeable_between_flavors(self):
-        # Fused and explicit-twist spectra are the same bits, so a
-        # spectrum from one flavor inverts through the other.
-        rng = np.random.default_rng(11)
-        rows = _rows(rng, 2, 256)
-        fused = plan_for_size(256, twist=TWIST_NEGACYCLIC)
-        spectra = negacyclic_transform_many(rows, fused)
-        assert np.array_equal(
-            rows, negacyclic_inverse_many(spectra, plan_for_size(256))
-        )
 
 
 class TestFusedExecutorContract:
@@ -217,8 +236,6 @@ class TestFusedAcrossBackends:
         assert np.array_equal(sw.negacyclic_inverse(spectra), rows)
 
     def test_hw_model_datapath_matches_fused_fast(self):
-        from repro.engine import ExecutionConfig
-
         rng = np.random.default_rng(22)
         rows = _rows(rng, 1, 64)
         fast = Engine(backend="hw-model").ring(64)
@@ -245,8 +262,6 @@ class TestFusedAcrossBackends:
         assert engine.last_report.total_cycles == cyclic_cycles
 
     def test_software_mp_fused_transform_identity(self):
-        from repro.engine import ExecutionConfig
-
         rng = np.random.default_rng(23)
         rows = _rows(rng, 4, 128)
         mp_engine = Engine(
@@ -262,20 +277,18 @@ class TestFusedAcrossBackends:
 
 
 class TestFusedRLWE:
-    def test_multiply_plain_many_fused_vs_unfused(self):
+    def test_multiply_plain_many_matches_loop_kernel(self):
         import random
 
         from repro.fhe.rlwe import RLWE, RLWEParams
 
         params = RLWEParams(n=128, t=64, noise_bound=4)
-        fused = RLWE(
-            params,
-            rng=random.Random(1),
-            plan=plan_for_size(128, twist=TWIST_NEGACYCLIC),
+        fused = RLWE(params, rng=random.Random(1))
+        loop = Engine(config=ExecutionConfig(kernel=KERNEL_LOOP)).fhe(
+            params, rng=random.Random(1)
         )
-        unfused = RLWE(
-            params, rng=random.Random(1), plan=plan_for_size(128)
-        )
+        assert fused.plan.twist == loop.plan.twist == TWIST_NEGACYCLIC
+        assert loop.plan.kernel == KERNEL_LOOP
         rng = random.Random(2)
         secret = fused.generate_secret()
         messages = [
@@ -288,7 +301,7 @@ class TestFusedRLWE:
         ]
         cts = fused.encrypt_many(secret, messages)
         out_f = fused.multiply_plain_many(cts, plains)
-        out_u = unfused.multiply_plain_many(cts, plains)
+        out_u = loop.multiply_plain_many(cts, plains)
         for cf, cu in zip(out_f, out_u):
             assert np.array_equal(cf.c0, cu.c0)
             assert np.array_equal(cf.c1, cu.c1)

@@ -1,6 +1,6 @@
 """Permutation-free (decimated) plan pairs: DIF forward / DIT inverse
-equivalence against the natural-order ``loop`` oracle across radix
-mixes, shapes, fused plans and compute backends."""
+equivalence against the ``loop``-kernel and ``dft_reference`` oracles
+across radix mixes, shapes, fused plans and compute backends."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,9 @@ from repro.ntt.plan import (
     decimated_companion,
     plan_for_size,
 )
+from repro.ntt.reference import dft_reference
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
+from repro.ssa.encode import decompose, params_for_bits
 from repro.ssa.multiplier import SSAMultiplier
 
 #: Radix mixes covering single-stage, uneven multi-stage, the
@@ -44,8 +46,40 @@ def _rows(rng, batch, n):
     return rng.integers(0, P, size=(batch, n), dtype=np.uint64)
 
 
-def _natural(n, radices):
-    return plan_for_size(n, radices, kernel=KERNEL_LOOP)
+def _schoolbook(a, b, negacyclic=False):
+    """Row-wise cyclic/negacyclic products mod ``p`` from one big-int
+    product per row (Kronecker substitution: 18-byte slots hold every
+    ``Σ a_i·b_j < n·p²`` exactly)."""
+    slot = 18
+    out = []
+    for row_a, row_b in zip(a.tolist(), b.tolist()):
+        n = len(row_a)
+        packed_a, packed_b = (
+            int.from_bytes(
+                b"".join(x.to_bytes(slot, "little") for x in row),
+                "little",
+            )
+            for row in (row_a, row_b)
+        )
+        raw = (packed_a * packed_b).to_bytes(2 * n * slot, "little")
+        full = [
+            int.from_bytes(raw[k * slot : (k + 1) * slot], "little")
+            for k in range(2 * n)
+        ]
+        sign = -1 if negacyclic else 1
+        out.append([(full[k] + sign * full[k + n]) % P for k in range(n)])
+    return np.array(out, dtype=np.uint64)
+
+
+def _loop(n, radices, negacyclic=False):
+    """The bit-exactness oracle plan: decimated pair, loop kernel."""
+    return plan_for_size(
+        n,
+        radices,
+        kernel=KERNEL_LOOP,
+        twist=TWIST_NEGACYCLIC if negacyclic else "",
+        ordering=ORDER_DECIMATED,
+    )
 
 
 class TestDecimatedPlanConstruction:
@@ -179,7 +213,7 @@ class TestConvolutionEquivalence:
     def test_cyclic_many(self, n, radices, kernel):
         rng = np.random.default_rng(3 * n)
         a, b = _rows(rng, 3, n), _rows(rng, 3, n)
-        oracle = cyclic_convolution_many(a, b, _natural(n, radices))
+        oracle = _schoolbook(a, b)
         decimated = plan_for_size(
             n, radices, kernel=kernel, ordering=ORDER_DECIMATED
         )
@@ -192,7 +226,7 @@ class TestConvolutionEquivalence:
     def test_fused_negacyclic_many(self, n, radices, kernel):
         rng = np.random.default_rng(5 * n)
         a, b = _rows(rng, 3, n), _rows(rng, 3, n)
-        oracle = negacyclic_convolution_many(a, b, _natural(n, radices))
+        oracle = _schoolbook(a, b, negacyclic=True)
         fused = plan_for_size(
             n,
             radices,
@@ -209,7 +243,7 @@ class TestConvolutionEquivalence:
         n = 256
         rows, fixed = _rows(rng, 6, n), _rows(rng, 1, n)[0]
         oracle = negacyclic_convolution_broadcast(
-            rows, fixed, _natural(n, (16, 16))
+            rows, fixed, _loop(n, (16, 16), negacyclic=True)
         )
         assert np.array_equal(
             negacyclic_convolution_broadcast(rows, fixed), oracle
@@ -220,10 +254,10 @@ class TestConvolutionEquivalence:
         n = 64
         a, b = _rows(rng, 2, n), _rows(rng, 2, n)
         # plan=None resolves to the decimated pair; the result still
-        # matches the explicit natural oracle bit for bit.
+        # matches the loop oracle bit for bit.
         assert np.array_equal(
             cyclic_convolution_many(a, b),
-            cyclic_convolution_many(a, b, _natural(n, (8, 8))),
+            cyclic_convolution_many(a, b, _loop(n, (8, 8))),
         )
 
     @given(data=st.data())
@@ -267,7 +301,7 @@ class TestConvolutionEquivalence:
             ordering=ORDER_DECIMATED,
         )
         assert np.array_equal(
-            conv(a, b, decimated), conv(a, b, _natural(n, radices))
+            conv(a, b, decimated), _schoolbook(a, b, negacyclic)
         )
 
 
@@ -288,19 +322,28 @@ class TestSSAMultiplierOrdering:
         ]
         truth = [a * b for a, b in pairs]
         decimated = SSAMultiplier.for_bits(4096)
-        natural = SSAMultiplier.for_bits(4096, ordering=ORDER_NATURAL)
-        assert natural.convolution_plan.ordering == ORDER_NATURAL
         assert decimated.multiply_many(pairs) == truth
-        assert natural.multiply_many(pairs) == truth
         a, b = pairs[0]
-        assert decimated.multiply(a, b) == natural.multiply(a, b) == a * b
+        assert decimated.multiply(a, b) == a * b
 
     def test_forward_transform_stays_natural(self):
         mul = SSAMultiplier.for_bits(2048)
-        nat = SSAMultiplier.for_bits(2048, ordering=ORDER_NATURAL)
+        digits = decompose(12345, mul.params)
         assert np.array_equal(
-            mul.forward_transform(12345), nat.forward_transform(12345)
+            mul.forward_transform(12345),
+            np.array(dft_reference(digits.tolist()), dtype=np.uint64),
         )
+
+    def test_decimated_plan_argument_stores_natural_base(self):
+        params = params_for_bits(2048)
+        decimated = plan_for_size(
+            params.transform_size, ordering=ORDER_DECIMATED
+        )
+        mul = SSAMultiplier(params=params, plan=decimated)
+        assert mul.plan.ordering == ORDER_NATURAL
+        assert mul.plan is decimated.base_plan
+        assert mul.convolution_plan is decimated
+        assert mul.multiply(3**500, 7**400) == 3**500 * 7**400
 
 
 class TestBackendIdentity:
@@ -329,7 +372,7 @@ class TestBackendIdentity:
             if negacyclic
             else cyclic_convolution_many
         )
-        oracle = conv(a, b, _natural(n, (16, 8)))
+        oracle = _schoolbook(a, b, negacyclic)
         for backend, config in (
             ("software", None),
             ("hw-model", ExecutionConfig(fidelity="fast")),
